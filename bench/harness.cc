@@ -35,6 +35,40 @@ std::uint64_t TimeRep(const BenchFn& fn, std::uint64_t iterations,
 
 constexpr std::uint64_t kMaxIterations = std::uint64_t{1} << 40;
 
+/// Per-iteration row from per-repetition wall times: the vector feeds
+/// the order statistics (median/MAD), the shared Welford accumulator
+/// supplies mean/min/max in one pass.
+BenchResult SummarizeReps(const std::vector<double>& rep_ns,
+                          std::uint64_t iterations) {
+  std::vector<double> per_iter_ns;
+  per_iter_ns.reserve(rep_ns.size());
+  RunningStats rep_stats;
+  for (const double ns : rep_ns) {
+    per_iter_ns.push_back(ns / static_cast<double>(iterations));
+    rep_stats.Add(per_iter_ns.back());
+  }
+  BenchResult result;
+  result.iterations = iterations;
+  result.reps = static_cast<int>(per_iter_ns.size());
+  result.median_ns = Median(per_iter_ns);
+  result.mad_ns = MedianAbsDeviation(per_iter_ns, result.median_ns);
+  result.min_ns = rep_stats.min();
+  result.max_ns = rep_stats.max();
+  result.mean_ns = rep_stats.mean();
+  return result;
+}
+
+/// The dual rule shared by bench_diff and the overhead gates: `delta`
+/// counts only when it clears both the relative threshold and the noise
+/// floor.
+bool ClearsBothGates(double delta, double baseline, double rel_threshold,
+                     double noise) {
+  return delta > baseline * rel_threshold && delta > noise;
+}
+
+/// Overhead-gate calibration target for one repetition.
+constexpr double kOverheadRepNs = 150e6;
+
 }  // namespace
 
 double Median(std::vector<double> values) {
@@ -99,33 +133,64 @@ BenchResult MeasureBenchmark(std::string_view name, const BenchFn& fn,
     TimeRep(fn, iterations, nullptr);
   }
 
-  // The vector feeds the order statistics (median/MAD); the shared
-  // Welford accumulator supplies mean/min/max in one pass.
-  std::vector<double> per_iter_ns;
-  per_iter_ns.reserve(static_cast<std::size_t>(std::max(options.reps, 1)));
-  RunningStats rep_stats;
+  std::vector<double> rep_ns;
+  rep_ns.reserve(static_cast<std::size_t>(std::max(options.reps, 1)));
   for (int i = 0; i < std::max(options.reps, 1); ++i) {
-    const std::uint64_t elapsed = TimeRep(fn, iterations, &items);
-    const double ns = static_cast<double>(elapsed) /
-                      static_cast<double>(iterations);
-    per_iter_ns.push_back(ns);
-    rep_stats.Add(ns);
+    rep_ns.push_back(static_cast<double>(TimeRep(fn, iterations, &items)));
   }
 
-  BenchResult result;
+  BenchResult result = SummarizeReps(rep_ns, iterations);
   result.name = std::string(name);
-  result.iterations = iterations;
-  result.reps = static_cast<int>(per_iter_ns.size());
-  result.median_ns = Median(per_iter_ns);
-  result.mad_ns = MedianAbsDeviation(per_iter_ns, result.median_ns);
-  result.min_ns = rep_stats.min();
-  result.max_ns = rep_stats.max();
-  result.mean_ns = rep_stats.mean();
   if (items > 0 && result.median_ns > 0.0) {
     result.items_per_sec =
         static_cast<double>(items) / (result.median_ns * 1e-9);
   }
   return result;
+}
+
+OverheadVerdict JudgeOverhead(const std::vector<double>& bare_rep_ns,
+                              const std::vector<double>& instrumented_rep_ns,
+                              std::uint64_t iterations, double budget) {
+  OverheadVerdict verdict;
+  verdict.bare = SummarizeReps(bare_rep_ns, iterations);
+  verdict.instrumented = SummarizeReps(instrumented_rep_ns, iterations);
+  const double delta =
+      verdict.instrumented.median_ns - verdict.bare.median_ns;
+  verdict.overhead =
+      verdict.bare.median_ns > 0.0 ? delta / verdict.bare.median_ns : 0.0;
+  verdict.noise_ns =
+      3.0 * std::max(verdict.bare.mad_ns, verdict.instrumented.mad_ns);
+  verdict.pass = !ClearsBothGates(delta, verdict.bare.median_ns, budget,
+                                  verdict.noise_ns);
+  return verdict;
+}
+
+OverheadVerdict MeasureOverhead(const OverheadCheck& check, int reps) {
+  // Grow until one bare repetition covers half the target, then scale
+  // to the full target in one step.
+  std::uint64_t iterations = 1;
+  for (;;) {
+    const double ns = std::max(check.bare(iterations), 1.0);
+    const auto scaled = static_cast<std::uint64_t>(
+        static_cast<double>(iterations) * std::min(kOverheadRepNs / ns, 10.0));
+    if (ns >= kOverheadRepNs / 2 || iterations >= kMaxIterations) {
+      iterations = std::max(iterations, scaled);
+      break;
+    }
+    iterations = std::max(iterations + 1, scaled);
+  }
+
+  std::vector<double> bare_ns;
+  std::vector<double> instrumented_ns;
+  for (int rep = 0; rep < std::max(reps, 1); ++rep) {
+    bare_ns.push_back(check.bare(iterations));
+    instrumented_ns.push_back(check.instrumented(iterations));
+  }
+  OverheadVerdict verdict =
+      JudgeOverhead(bare_ns, instrumented_ns, iterations, check.budget);
+  verdict.bare.name = check.bare_name;
+  verdict.instrumented.name = check.instrumented_name;
+  return verdict;
 }
 
 std::vector<BenchResult> RunRegisteredBenchmarks(const BenchOptions& options) {
@@ -314,12 +379,12 @@ DiffReport CompareBenchSuites(const BenchSuite& baseline,
         options.mad_mult * std::max(base.mad_ns, cur->mad_ns);
     entry.noise_ns = noise_ns;
     const double delta = cur->median_ns - base.median_ns;
-    if (delta > base.median_ns * options.rel_threshold &&
-        delta > noise_ns) {
+    if (ClearsBothGates(delta, base.median_ns, options.rel_threshold,
+                        noise_ns)) {
       entry.verdict = DiffVerdict::kRegression;
       ++report.regressions;
-    } else if (-delta > base.median_ns * options.rel_threshold &&
-               -delta > noise_ns) {
+    } else if (ClearsBothGates(-delta, base.median_ns, options.rel_threshold,
+                               noise_ns)) {
       entry.verdict = DiffVerdict::kImprovement;
       ++report.improvements;
     } else {

@@ -93,6 +93,46 @@ struct BenchResult {
 double Median(std::vector<double> values);
 double MedianAbsDeviation(const std::vector<double>& values, double median);
 
+// --------------------------------------------------------------------------
+// Overhead gates (chameleon_overhead_gate): instrumented vs bare arm.
+// --------------------------------------------------------------------------
+
+/// One arm of an overhead gate: runs the measured loop `iterations`
+/// times and returns the wall nanoseconds it took. Arms time themselves
+/// so per-repetition setup (starting a profiler) stays outside the
+/// measurement.
+using OverheadArm = std::function<double(std::uint64_t iterations)>;
+
+struct OverheadCheck {
+  std::string bare_name;          ///< BENCH row of the uninstrumented arm
+  std::string instrumented_name;  ///< BENCH row of the instrumented arm
+  OverheadArm bare;
+  OverheadArm instrumented;
+  double budget = 0.0;  ///< max relative overhead (0.02 = 2%)
+};
+
+struct OverheadVerdict {
+  BenchResult bare;          ///< per-iteration stats, like every BENCH row
+  BenchResult instrumented;  ///< per-iteration stats
+  double overhead = 0.0;     ///< median delta / bare median
+  double noise_ns = 0.0;     ///< 3x the larger MAD, per iteration
+  bool pass = true;
+};
+
+/// The dual rule over alternating repetitions of both arms, each sample
+/// the wall ns of one `iterations`-long repetition: fail only when the
+/// overhead exceeds `budget` AND the median delta exceeds 3x the larger
+/// MAD (jitter inside the noise floor is not overhead). Row names are
+/// left empty.
+OverheadVerdict JudgeOverhead(const std::vector<double>& bare_rep_ns,
+                              const std::vector<double>& instrumented_rep_ns,
+                              std::uint64_t iterations, double budget);
+
+/// Calibrates the iteration count on the bare arm to ~150 ms per
+/// repetition, times `reps` alternating bare/instrumented repetitions
+/// (slow drift biases both arms equally), and judges them.
+OverheadVerdict MeasureOverhead(const OverheadCheck& check, int reps);
+
 /// Registry. Registration order is preserved; duplicate names are a
 /// programming error and abort at registration time.
 void RegisterBenchmark(std::string name, BenchFn fn);

@@ -12,8 +12,7 @@
 /// Edge-list I/O. The format is whitespace-separated `u v p` lines, `#`
 /// comments, with an optional `# nodes <n>` header that fixes the node
 /// count (isolated trailing vertices would otherwise be dropped, since
-/// the node count is inferred as max id + 1). This matches the files in
-/// bench_cache/.
+/// the node count is inferred as max id + 1).
 
 namespace chameleon::graph {
 

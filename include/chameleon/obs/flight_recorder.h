@@ -11,9 +11,9 @@
 /// (no locks, no allocation after a thread's first event), so the
 /// instrumented call sites stay hot-path safe; when observability is
 /// disabled the CHOBS_FLIGHT_EVENT macro is one relaxed load and a
-/// branch (budget-gated by bench/micro_flight_overhead). Each ring
-/// overwrites its oldest entry when full and counts what it evicted, so
-/// dumps always disclose `dropped`.
+/// branch (budget-gated by `chameleon_overhead_gate --gate=flight`).
+/// Each ring overwrites its oldest entry when full and counts what it
+/// evicted, so dumps always disclose `dropped`.
 ///
 /// Consumers:
 ///  - the crash handler and signal-death FinalizeRun path emit a

@@ -18,9 +18,10 @@
 /// additionally emits one `parallel_region` JSONL record — per-worker
 /// busy/idle time, blocks claimed, imbalance, spawn+join overhead, and
 /// realized speedup (see chameleon/obs/parallel_stats.h). The
-/// instrumentation only timestamps the existing block claims; block
-/// boundaries and the worker-count clamps are shared with the plain
-/// path, so outputs stay bit-identical with telemetry on or off.
+/// instrumentation is a hook on the one drain loop that only
+/// timestamps the existing block claims; block boundaries and the
+/// worker-count clamps do not depend on it, so outputs stay
+/// bit-identical with telemetry on or off.
 
 namespace chameleon {
 

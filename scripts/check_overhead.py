@@ -1,169 +1,67 @@
 #!/usr/bin/env python3
-"""Runs every observability overhead gate from one declarative table.
+"""Runs every observability overhead gate, one process per gate.
 
 Usage: check_overhead.py [--bindir=build/bench] [--only=NAME[,NAME...]]
-           [--list]
 
-Replaces the six hand-maintained CI steps (one per micro_*_overhead
-binary) with a single budget table. Two binary styles:
+The gate table lives in chameleon_overhead_gate itself (`--list` prints
+it); this driver runs `--gate=NAME --out=BENCH_<NAME>.ci.json` for each
+row. A separate process per gate keeps global obs state started by one
+gate (the profiler, the heap sampler) out of the next gate's dormant arm.
+Each gate applies the dual rule internally: a violation needs its budget
+exceeded AND the delta above 3x the repetition MAD.
 
-  harness   self-contained median/MAD benches (micro_profiler_overhead
-            and friends). Each applies the dual gate internally — a
-            violation needs the relative budget exceeded AND the delta
-            above 3x the repetition MAD — and exits nonzero on failure.
-            Budgets are passed as flags from the table; each writes a
-            BENCH_<name>.ci.json suite for the artifact upload and the
-            bench_diff baselines.
-  gbench    google-benchmark binaries (micro_obs_overhead,
-            micro_convergence_overhead), present only when the optional
-            benchmark dep was fetched. Run with a fixed min-time and
-            repetition count; a missing binary is a SKIP, not a failure,
-            because the dep is optional by design.
-
-Exits 0 when every present gate passes, 1 when any gate fails, 2 on
-usage errors. A gate binary that is missing but required (harness
-style — always built) is a failure: silently skipping it would read as
-"budget enforced" when it was not.
+Exits 0 when every gate passes, 1 when any gate fails or the binary is
+missing, 2 on usage errors.
 """
 import os
 import subprocess
 import sys
 
-# The budget table. kind: "harness" binaries are always built and gate
-# hard; "gbench" binaries exist only with -DCHAMELEON_BUILD_BENCHMARKS=ON
-# and the benchmark dep present, so absence is a SKIP.
-GATES = [
-    {
-        "name": "obs_dormant",
-        "binary": "micro_obs_overhead",
-        "kind": "gbench",
-        "note": "raw sampling loop vs instrumented WorldSampler, obs off",
-    },
-    {
-        "name": "convergence_tracker",
-        "binary": "micro_convergence_overhead",
-        "kind": "gbench",
-        "note": "raw Welford vs tracked estimator (advisory companion "
-                "to the in-suite BM_McTwoTerminalTracked diff)",
-    },
-    {
-        "name": "profiler",
-        "binary": "micro_profiler_overhead",
-        "kind": "harness",
-        "args": ["--budget=0.03"],
-        "out": "BENCH_profiler.ci.json",
-        "note": "sampling profiler on vs off at 99 Hz, <3%",
-    },
-    {
-        "name": "flight",
-        "binary": "micro_flight_overhead",
-        "kind": "harness",
-        "args": ["--budget=0.02"],
-        "out": "BENCH_flight.ci.json",
-        "note": "dormant CHOBS_FLIGHT_EVENT per iteration, <2%",
-    },
-    {
-        "name": "parallel",
-        "binary": "micro_parallel_overhead",
-        "kind": "harness",
-        "args": ["--budget=0.02"],
-        "out": "BENCH_parallel.ci.json",
-        "note": "dormant ParallelForBlocks telemetry vs bare replica, <2%",
-    },
-    {
-        "name": "hw",
-        "binary": "micro_hw_overhead",
-        "kind": "harness",
-        "args": ["--budget=0.02"],
-        "out": "BENCH_hw.ci.json",
-        "note": "dormant hw-counter span per iteration, <2%",
-    },
-    {
-        "name": "heap",
-        "binary": "micro_heap_overhead",
-        "kind": "harness",
-        "args": ["--budget=0.02", "--active_budget=0.05"],
-        "out": "BENCH_heap.ci.json",
-        "note": "operator new/delete hook dormant <2%, sampling at the "
-                "default rate <5%",
-    },
-    {
-        "name": "anonymize_suite",
-        "binary": "chameleon_bench_anonymize",
-        "kind": "harness",
-        "args": ["--quick"],
-        "out": "BENCH_anonymize.ci.json",
-        "note": "anonymization-core suite (relevance sweep, GenObf "
-                "attempt, trunc-normal draws); no budget of its own, "
-                "feeds the bench_diff steps",
-    },
-]
-
-GBENCH_ARGS = ["--benchmark_min_time=0.2", "--benchmark_repetitions=3"]
-
 
 def main() -> int:
     bindir = "build/bench"
     only = None
-    list_only = False
     for opt in sys.argv[1:]:
         if opt.startswith("--bindir="):
             bindir = opt.split("=", 1)[1]
         elif opt.startswith("--only="):
             only = set(opt.split("=", 1)[1].split(","))
-        elif opt == "--list":
-            list_only = True
         else:
             print(__doc__, file=sys.stderr)
             return 2
+
+    binary = os.path.join(bindir, "chameleon_overhead_gate")
+    if not os.path.exists(binary):
+        print(f"FAIL: gate binary {binary} is missing", file=sys.stderr)
+        return 1
+    listing = subprocess.run([binary, "--list"], check=True,
+                             capture_output=True, text=True).stdout
+    gates = [line.split(None, 1)[0] for line in listing.splitlines()
+             if line.strip()]
     if only is not None:
-        unknown = only - {gate["name"] for gate in GATES}
+        unknown = only - set(gates)
         if unknown:
             print(f"unknown gate(s): {', '.join(sorted(unknown))}",
                   file=sys.stderr)
             return 2
-
-    if list_only:
-        for gate in GATES:
-            print(f"{gate['name']:20s} [{gate['kind']:7s}] "
-                  f"{gate['binary']}: {gate['note']}")
-        return 0
+        gates = [name for name in gates if name in only]
 
     failures = []
-    for gate in GATES:
-        if only is not None and gate["name"] not in only:
-            continue
-        binary = os.path.join(bindir, gate["binary"])
-        header = f"=== {gate['name']}: {gate['note']}"
-        print(header, flush=True)
-        if not os.path.exists(binary):
-            if gate["kind"] == "gbench":
-                print(f"SKIP: {binary} not built (optional benchmark "
-                      f"dep absent)", flush=True)
-                continue
-            print(f"FAIL: required gate binary {binary} is missing",
-                  file=sys.stderr)
-            failures.append(gate["name"])
-            continue
-        cmd = [binary]
-        if gate["kind"] == "gbench":
-            cmd += GBENCH_ARGS
-        else:
-            cmd += gate.get("args", [])
-            if "out" in gate:
-                cmd.append(f"--out={gate['out']}")
+    for name in gates:
+        cmd = [binary, f"--gate={name}", f"--out=BENCH_{name}.ci.json"]
+        print(f"=== {name}", flush=True)
         result = subprocess.run(cmd, check=False)
         if result.returncode != 0:
             print(f"FAIL: {' '.join(cmd)} exited {result.returncode}",
                   file=sys.stderr)
-            failures.append(gate["name"])
+            failures.append(name)
         print(flush=True)
 
     if failures:
         print(f"overhead gates FAILED: {', '.join(failures)}",
               file=sys.stderr)
         return 1
-    print("all overhead gates passed")
+    print(f"all {len(gates)} overhead gates passed")
     return 0
 
 

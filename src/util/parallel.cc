@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -28,82 +29,6 @@ std::size_t HardwareConcurrency() {
 /// parallel win (the BM_ObfVerifyEr2k8t regression: 7 spawned workers
 /// for a 2000-vertex verify on one core ran ~2x slower than serial).
 constexpr std::size_t kMinItemsPerWorker = 1024;
-
-#if CHAMELEON_OBS_ENABLED
-/// Instrumented fork-join path, taken only while observability is live.
-/// Identical block boundaries, claim order semantics, and worker count
-/// as the plain path — the only additions are MonotonicNanos() pairs
-/// around each fn() call and per-worker accumulators, none of which
-/// influence which (block, begin, end) triples `fn` sees. The caller
-/// thread is worker 0; spawned threads are 1..workers-1.
-void RunInstrumented(
-    std::size_t n, std::size_t block_size, std::size_t blocks,
-    std::size_t requested, std::size_t workers,
-    const std::function<void(std::size_t block, std::size_t begin,
-                             std::size_t end)>& fn) {
-  obs::ParallelRegionStats stats;
-  stats.name = obs::SpanPathForId(obs::CurrentSpanPathId());
-  if (stats.name.empty()) stats.name = "(no_span)";
-  stats.items = n;
-  stats.block_size = block_size;
-  stats.blocks = blocks;
-  stats.requested = requested;
-  stats.workers = workers;
-  stats.per_worker.resize(workers);
-
-  obs::ActiveParallelRegion active(stats.name, n, block_size, blocks,
-                                   requested, workers);
-
-  std::atomic<std::size_t> cursor{0};
-  const auto drain = [&](std::size_t worker) {
-    obs::ParallelWorkerSample& sample = stats.per_worker[worker];
-    // Per-worker hardware counters: each thread owns its counter group
-    // (spawned workers lazily open theirs on first sample), so the
-    // region record can report per-thread-count IPC honestly instead of
-    // attributing worker cycles to the caller.
-    obs::HwCounterSample hw_open;
-    const bool hw_valid =
-        obs::HwCountersActive() && obs::SampleHwCounters(&hw_open);
-    for (std::size_t block = cursor.fetch_add(1, std::memory_order_relaxed);
-         block < blocks;
-         block = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      const std::size_t begin = block * block_size;
-      const std::size_t end = std::min(n, begin + block_size);
-      const std::uint64_t t0 = MonotonicNanos();
-      fn(block, begin, end);
-      const std::uint64_t busy = MonotonicNanos() - t0;
-      sample.busy_ns += busy;
-      ++sample.blocks;
-      active.NoteBlockDone(busy);
-    }
-    if (hw_valid) {
-      obs::HwCounterSample hw_close;
-      if (obs::SampleHwCounters(&hw_close)) {
-        sample.hw = obs::ComputeHwDelta(hw_open, hw_close);
-      }
-    }
-  };
-
-  const std::uint64_t region_start = MonotonicNanos();
-  if (workers <= 1) {
-    drain(0);
-    stats.wall_ns = MonotonicNanos() - region_start;
-    obs::RecordParallelRegion(stats);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(drain, w);
-  stats.spawn_ns = MonotonicNanos() - region_start;
-  drain(0);
-  const std::uint64_t join_start = MonotonicNanos();
-  for (std::thread& t : pool) t.join();
-  const std::uint64_t region_end = MonotonicNanos();
-  stats.join_ns = region_end - join_start;
-  stats.wall_ns = region_end - region_start;
-  obs::RecordParallelRegion(stats);
-}
-#endif  // CHAMELEON_OBS_ENABLED
 
 /// Process default for `threads < 1` requests; 0 = hardware concurrency.
 std::atomic<int> g_default_threads{0};
@@ -140,33 +65,80 @@ void ParallelForBlocks(
   workers = std::min(workers,
                      std::max<std::size_t>(1, n / kMinItemsPerWorker));
 
+  // Telemetry hook, set only while observability is live. It never
+  // influences which (block, begin, end) triples `fn` sees, so outputs
+  // stay bit-identical with telemetry on or off; with it unset the
+  // region takes no timestamps and no hw samples. The caller thread is
+  // worker 0; spawned threads are 1..workers-1.
+  std::optional<obs::ParallelRegionStats> stats;
+  std::optional<obs::ActiveParallelRegion> active;
 #if CHAMELEON_OBS_ENABLED
   if (obs::Enabled()) {
-    RunInstrumented(n, block_size, blocks, requested, workers, fn);
-    return;
+    stats.emplace();
+    stats->name = obs::SpanPathForId(obs::CurrentSpanPathId());
+    if (stats->name.empty()) stats->name = "(no_span)";
+    stats->items = n;
+    stats->block_size = block_size;
+    stats->blocks = blocks;
+    stats->requested = requested;
+    stats->workers = workers;
+    stats->per_worker.resize(workers);
+    active.emplace(stats->name, n, block_size, blocks, requested, workers);
   }
 #endif
+  obs::ParallelRegionStats* const hook = stats ? &*stats : nullptr;
 
   std::atomic<std::size_t> cursor{0};
-  const auto drain = [&] {
+  const auto drain = [&](std::size_t worker) {
+    obs::ParallelWorkerSample* const sample =
+        hook != nullptr ? &hook->per_worker[worker] : nullptr;
+    // Per-worker hardware counters: each thread owns its counter group
+    // (spawned workers lazily open theirs on first sample), so the
+    // region record reports per-thread-count IPC instead of attributing
+    // worker cycles to the caller.
+    obs::HwCounterSample hw_open;
+    const bool hw_valid = sample != nullptr && obs::HwCountersActive() &&
+                          obs::SampleHwCounters(&hw_open);
     for (std::size_t block = cursor.fetch_add(1, std::memory_order_relaxed);
          block < blocks;
          block = cursor.fetch_add(1, std::memory_order_relaxed)) {
       const std::size_t begin = block * block_size;
       const std::size_t end = std::min(n, begin + block_size);
+      if (sample == nullptr) {
+        fn(block, begin, end);
+        continue;
+      }
+      const std::uint64_t t0 = MonotonicNanos();
       fn(block, begin, end);
+      const std::uint64_t busy = MonotonicNanos() - t0;
+      sample->busy_ns += busy;
+      ++sample->blocks;
+      active->NoteBlockDone(busy);
+    }
+    if (hw_valid) {
+      obs::HwCounterSample hw_close;
+      if (obs::SampleHwCounters(&hw_close)) {
+        sample->hw = obs::ComputeHwDelta(hw_open, hw_close);
+      }
     }
   };
 
-  if (workers <= 1) {
-    drain();
-    return;
-  }
+  const std::uint64_t region_start = hook != nullptr ? MonotonicNanos() : 0;
   std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(drain);
-  drain();
+  if (workers > 1) {
+    pool.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(drain, w);
+    if (hook != nullptr) hook->spawn_ns = MonotonicNanos() - region_start;
+  }
+  drain(0);
+  const std::uint64_t join_start = hook != nullptr ? MonotonicNanos() : 0;
   for (std::thread& t : pool) t.join();
+  if (hook != nullptr) {
+    const std::uint64_t region_end = MonotonicNanos();
+    if (workers > 1) hook->join_ns = region_end - join_start;
+    hook->wall_ns = region_end - region_start;
+    obs::RecordParallelRegion(*hook);
+  }
 }
 
 }  // namespace chameleon

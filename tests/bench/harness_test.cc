@@ -1,9 +1,12 @@
 #include "harness.h"
 
+#include <sys/wait.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -185,6 +188,132 @@ TEST(DiffTest, FormatReportMentionsEveryVerdict) {
   EXPECT_NE(text.find("REGRESSED"), std::string::npos);
   EXPECT_NE(text.find("1 regression(s)"), std::string::npos);
   EXPECT_NE(text.find("slow"), std::string::npos);
+}
+
+// The overhead gates' dual rule, fed per-repetition wall times of 1000
+// iterations each.
+constexpr std::uint64_t kGateIterations = 1000;
+
+TEST(OverheadTest, UnderBudgetPasses) {
+  const OverheadVerdict v =
+      JudgeOverhead({1.00e6, 1.01e6, 0.99e6, 1.00e6, 1.00e6},
+                    {1.01e6, 1.02e6, 1.00e6, 1.01e6, 1.01e6},
+                    kGateIterations, 0.02);
+  EXPECT_TRUE(v.pass);
+  EXPECT_NEAR(v.overhead, 0.01, 1e-9);
+}
+
+TEST(OverheadTest, OverBudgetInsideNoiseFloorPasses) {
+  // 10% over a 2% budget, but the MAD is 10% of the median: 3x MAD
+  // (300 ns/iter) swallows the 100 ns/iter delta.
+  const OverheadVerdict v =
+      JudgeOverhead({1.0e6, 1.2e6, 0.8e6, 1.1e6, 0.9e6},
+                    {1.1e6, 1.3e6, 0.9e6, 1.2e6, 1.0e6}, kGateIterations,
+                    0.02);
+  EXPECT_NEAR(v.overhead, 0.10, 1e-9);
+  EXPECT_NEAR(v.noise_ns, 300.0, 1e-6);
+  EXPECT_TRUE(v.pass);
+}
+
+TEST(OverheadTest, OverBudgetAboveNoiseFloorFails) {
+  const OverheadVerdict v =
+      JudgeOverhead({1.00e6, 1.00e6, 1.01e6, 0.99e6, 1.00e6},
+                    {1.05e6, 1.05e6, 1.06e6, 1.04e6, 1.05e6},
+                    kGateIterations, 0.02);
+  EXPECT_NEAR(v.overhead, 0.05, 1e-9);
+  EXPECT_FALSE(v.pass);
+}
+
+TEST(OverheadTest, RowsArePerIteration) {
+  const OverheadVerdict v = JudgeOverhead(
+      {2.0e6, 4.0e6, 3.0e6}, {3.0e6, 3.0e6, 3.0e6}, kGateIterations, 0.02);
+  EXPECT_EQ(v.bare.iterations, kGateIterations);
+  EXPECT_EQ(v.bare.reps, 3);
+  EXPECT_DOUBLE_EQ(v.bare.median_ns, 3000.0);
+  EXPECT_DOUBLE_EQ(v.bare.mad_ns, 1000.0);
+  EXPECT_DOUBLE_EQ(v.bare.min_ns, 2000.0);
+  EXPECT_DOUBLE_EQ(v.bare.max_ns, 4000.0);
+  EXPECT_DOUBLE_EQ(v.bare.mean_ns, 3000.0);
+  EXPECT_DOUBLE_EQ(v.instrumented.mad_ns, 0.0);
+}
+
+/// An arm whose "wall time" is exactly `ns_per_iteration` per iteration,
+/// logging every repetition it reports.
+OverheadArm SyntheticArm(double ns_per_iteration, std::vector<double>* log) {
+  return [ns_per_iteration, log](std::uint64_t iterations) {
+    const double ns = ns_per_iteration * static_cast<double>(iterations);
+    log->push_back(ns);
+    return ns;
+  };
+}
+
+TEST(OverheadTest, MeasureCalibratesAndWritesPerIterationRows) {
+  std::vector<double> bare_log;
+  std::vector<double> instrumented_log;
+  OverheadCheck check;
+  check.bare_name = "BM_Bare";
+  check.instrumented_name = "BM_Instrumented";
+  check.bare = SyntheticArm(100.0, &bare_log);
+  check.instrumented = SyntheticArm(101.0, &instrumented_log);
+  check.budget = 0.02;
+  const OverheadVerdict v = MeasureOverhead(check, 5);
+  EXPECT_TRUE(v.pass);
+  EXPECT_EQ(v.bare.name, "BM_Bare");
+  EXPECT_EQ(v.instrumented.name, "BM_Instrumented");
+  EXPECT_DOUBLE_EQ(v.bare.median_ns, 100.0);
+  EXPECT_DOUBLE_EQ(v.instrumented.median_ns, 101.0);
+  // Calibrated to ~150 ms repetitions, and the per-iteration median times
+  // the iteration count reproduces each timed repetition's wall time.
+  ASSERT_EQ(instrumented_log.size(), 5u);
+  const double rep_ns = bare_log.back();
+  EXPECT_GE(rep_ns, 75e6);
+  EXPECT_LE(rep_ns, 300e6);
+  EXPECT_DOUBLE_EQ(v.bare.median_ns * static_cast<double>(v.bare.iterations),
+                   rep_ns);
+  EXPECT_DOUBLE_EQ(
+      v.instrumented.median_ns * static_cast<double>(v.bare.iterations),
+      instrumented_log.back());
+}
+
+TEST(OverheadTest, InjectedTwoTimesSlowdownFails) {
+  std::vector<double> bare_log;
+  std::vector<double> instrumented_log;
+  OverheadCheck check;
+  check.bare = SyntheticArm(100.0, &bare_log);
+  check.instrumented = SyntheticArm(200.0, &instrumented_log);
+  check.budget = 0.05;
+  const OverheadVerdict v = MeasureOverhead(check, 3);
+  EXPECT_FALSE(v.pass);
+  EXPECT_DOUBLE_EQ(v.overhead, 1.0);
+}
+
+/// Exit code and stdout of chameleon_overhead_gate run with `args`.
+std::pair<int, std::string> RunGate(const std::string& args) {
+  std::string out;
+  const std::string command = std::string(OVERHEAD_GATE_BIN) + args;
+  std::FILE* pipe = popen((command + " 2>/dev/null").c_str(), "r");
+  if (pipe == nullptr) return {-1, out};
+  char buffer[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    out.append(buffer, n);
+  }
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(OverheadGateBinaryTest, UnknownGateIsAUsageError) {
+  EXPECT_EQ(RunGate(" --gate=nope").first, 2);
+  EXPECT_EQ(RunGate("").first, 2);
+}
+
+TEST(OverheadGateBinaryTest, ListNamesAllSixGates) {
+  const auto [code, out] = RunGate(" --list");
+  EXPECT_EQ(code, 0);
+  for (const char* gate :
+       {"obs_dormant", "profiler", "flight", "parallel", "hw", "heap"}) {
+    EXPECT_NE(out.find(std::string(gate) + " "), std::string::npos) << gate;
+  }
 }
 
 TEST(RegistryTest, RegistrationOrderIsPreservedAndFilterable) {
