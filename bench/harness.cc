@@ -292,10 +292,7 @@ Result<BenchSuite> LoadBenchFile(const std::string& path) {
         suite.suite = *v;
       }
     }
-    if (line.find("\"quick\":") != std::string::npos &&
-        line.find("true") != std::string::npos) {
-      suite.quick = true;
-    }
+    if (obs::JsonlBoolField(line, "quick").value_or(false)) suite.quick = true;
     if (suite.git_sha.empty()) {
       if (const auto v = obs::JsonlStringField(line, "git_sha")) {
         suite.git_sha = *v;

@@ -17,7 +17,7 @@
 ///
 /// Consumers:
 ///  - the crash handler and signal-death FinalizeRun path emit a
-///    `flight_event_dump` JSONL record (see sink.h);
+///    `flight_event_dump` JSONL record (fields in DESIGN.md §7);
 ///  - the stall watchdog reads per-thread last-activity timestamps to
 ///    decide whether a phase is still making progress.
 

@@ -1,6 +1,8 @@
 #include "chameleon/obs/sink.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "chameleon/util/string_util.h"
 
@@ -66,17 +68,25 @@ std::optional<std::size_t> FindValueStart(std::string_view line,
   return std::nullopt;
 }
 
-}  // namespace
-
-std::optional<std::string> JsonlStringField(std::string_view line,
-                                            std::string_view key) {
+/// Start of the value for `key` when it begins with `open`.
+std::optional<std::size_t> FindValueOpening(std::string_view line,
+                                            std::string_view key,
+                                            char open) {
   const auto start = FindValueStart(line, key);
-  if (!start.has_value() || *start >= line.size() || line[*start] != '"') {
+  if (!start.has_value() || *start >= line.size() || line[*start] != open) {
     return std::nullopt;
   }
+  return start;
+}
+
+/// Reads the string literal whose opening quote is at `quote`. Returns the
+/// unescaped text and the index just past the closing quote, or nullopt
+/// when the line ends inside the string.
+std::optional<std::pair<std::string, std::size_t>> ReadString(
+    std::string_view line, std::size_t quote) {
   std::string out;
   bool escaped = false;
-  for (std::size_t i = *start + 1; i < line.size(); ++i) {
+  for (std::size_t i = quote + 1; i < line.size(); ++i) {
     const char c = line[i];
     if (escaped) {
       switch (c) {
@@ -99,10 +109,26 @@ std::optional<std::string> JsonlStringField(std::string_view line,
       escaped = true;
       continue;
     }
-    if (c == '"') return out;
+    if (c == '"') return std::make_pair(std::move(out), i + 1);
     out += c;
   }
-  return std::nullopt;  // unterminated string
+  return std::nullopt;
+}
+
+}  // namespace
+
+bool IsKnownRecordType(std::string_view type) {
+  return std::find(kRecordTypes.begin(), kRecordTypes.end(), type) !=
+         kRecordTypes.end();
+}
+
+std::optional<std::string> JsonlStringField(std::string_view line,
+                                            std::string_view key) {
+  const auto start = FindValueOpening(line, key, '"');
+  if (!start.has_value()) return std::nullopt;
+  auto read = ReadString(line, *start);
+  if (!read.has_value()) return std::nullopt;
+  return std::move(read->first);
 }
 
 std::optional<double> JsonlNumberField(std::string_view line,
@@ -119,6 +145,61 @@ std::optional<double> JsonlNumberField(std::string_view line,
   const Result<double> parsed = ParseDouble(line.substr(*start, end - *start));
   if (!parsed.ok()) return std::nullopt;
   return *parsed;
+}
+
+std::optional<bool> JsonlBoolField(std::string_view line,
+                                   std::string_view key) {
+  const auto start = FindValueStart(line, key);
+  if (!start.has_value()) return std::nullopt;
+  const std::string_view value = line.substr(*start);
+  if (value.substr(0, 4) == "true") return true;
+  if (value.substr(0, 5) == "false") return false;
+  return std::nullopt;
+}
+
+std::optional<std::vector<std::string>> JsonlStringArrayField(
+    std::string_view line, std::string_view key) {
+  const auto start = FindValueOpening(line, key, '[');
+  if (!start.has_value()) return std::nullopt;
+  std::vector<std::string> out;
+  std::size_t i = *start + 1;
+  while (i < line.size() && line[i] != ']') {
+    if (line[i] == ',' || line[i] == ' ') {
+      ++i;
+      continue;
+    }
+    if (line[i] != '"') break;
+    auto read = ReadString(line, i);
+    if (!read.has_value()) break;
+    out.push_back(std::move(read->first));
+    i = read->second;
+  }
+  return out;
+}
+
+std::optional<std::string_view> JsonlObjectField(std::string_view line,
+                                                 std::string_view key) {
+  const auto start = FindValueOpening(line, key, '{');
+  if (!start.has_value()) return std::nullopt;
+  int depth = 0;
+  bool in_string = false;
+  bool escaped = false;
+  for (std::size_t i = *start; i < line.size(); ++i) {
+    const char c = line[i];
+    if (escaped) {
+      escaped = false;
+      continue;
+    }
+    if (c == '\\') {
+      escaped = true;
+      continue;
+    }
+    if (c == '"') in_string = !in_string;
+    if (in_string) continue;
+    if (c == '{') ++depth;
+    if (c == '}' && --depth == 0) return line.substr(*start, i - *start + 1);
+  }
+  return std::nullopt;
 }
 
 }  // namespace chameleon::obs

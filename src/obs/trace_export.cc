@@ -9,34 +9,6 @@
 namespace chameleon::obs {
 namespace {
 
-/// Extracts the raw `"counters":{...}` object from a span record so it
-/// can be re-embedded verbatim in the event's args. Returns "" when the
-/// span carried no counters.
-std::string RawCountersObject(const std::string& line) {
-  const std::size_t key = line.find("\"counters\":{");
-  if (key == std::string::npos) return "";
-  const std::size_t open = key + 11;  // index of '{'
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = open; i < line.size(); ++i) {
-    const char c = line[i];
-    if (escaped) {
-      escaped = false;
-      continue;
-    }
-    if (c == '\\') {
-      escaped = true;
-      continue;
-    }
-    if (c == '"') in_string = !in_string;
-    if (in_string) continue;
-    if (c == '{') ++depth;
-    if (c == '}' && --depth == 0) return line.substr(open, i - open + 1);
-  }
-  return "";
-}
-
 std::string LastPathSegment(const std::string& path) {
   const std::size_t slash = path.rfind('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
@@ -116,8 +88,10 @@ std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
             "alloc_bytes"}) {
         AppendNumberArg(args, line, key);
       }
-      const std::string counters = RawCountersObject(line);
-      if (!counters.empty()) args += ",\"counters\":" + counters;
+      // Re-embed the span's counters object verbatim.
+      if (const auto counters = JsonlObjectField(line, "counters")) {
+        args += ",\"counters\":" + std::string(*counters);
+      }
       args += '}';
 
       append_event(StrFormat(

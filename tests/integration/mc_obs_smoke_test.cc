@@ -77,6 +77,9 @@ TEST(McObsSmokeTest, OneThousandWorldRunEmitsPhaseSpans) {
     EXPECT_EQ(line.back(), '}');
     const auto type = obs::JsonlStringField(line, "type");
     ASSERT_TRUE(type.has_value()) << line;
+    // Every type a writer emits is on the readers' list; a writer added
+    // without a kRecordTypes entry would reach them as "unknown".
+    EXPECT_TRUE(obs::IsKnownRecordType(*type)) << *type;
     if (*type == "span") {
       const auto span_path = obs::JsonlStringField(line, "path");
       ASSERT_TRUE(span_path.has_value()) << line;

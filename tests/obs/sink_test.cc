@@ -1,8 +1,11 @@
 #include "chameleon/obs/sink.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +28,75 @@ TEST(JsonlFieldTest, ExtractsStringsAndNumbers) {
 TEST(JsonlFieldTest, KeyInsideStringValueIsNotAMatch) {
   const std::string line = R"({"note":"dur_ns inside text","dur_ns":7})";
   EXPECT_EQ(*JsonlNumberField(line, "dur_ns"), 7.0);
+}
+
+TEST(JsonlFieldTest, ReadsBooleans) {
+  const std::string line =
+      R"({"note":"\"final\":true","final":false,"partial":true,"n":1})";
+  EXPECT_EQ(JsonlBoolField(line, "final"), std::optional<bool>(false));
+  EXPECT_EQ(JsonlBoolField(line, "partial"), std::optional<bool>(true));
+  EXPECT_FALSE(JsonlBoolField(line, "n").has_value());
+  EXPECT_FALSE(JsonlBoolField(line, "missing").has_value());
+}
+
+TEST(JsonlFieldTest, StringArrayIgnoresBracketsInsideStrings) {
+  const std::string line =
+      R"j({"frames":["f0","std::vector<int>::operator[](unsigned long)",)j"
+      R"("say \"hi\"","main"],"tid":3})";
+  const auto frames = JsonlStringArrayField(line, "frames");
+  ASSERT_TRUE(frames.has_value());
+  EXPECT_EQ(*frames,
+            (std::vector<std::string>{
+                "f0", "std::vector<int>::operator[](unsigned long)",
+                "say \"hi\"", "main"}));
+  EXPECT_EQ(*JsonlNumberField(line, "tid"), 3.0);
+  EXPECT_TRUE(JsonlStringArrayField(R"({"a":[]})", "a")->empty());
+  EXPECT_FALSE(JsonlStringArrayField(line, "tid").has_value());
+  EXPECT_FALSE(JsonlStringArrayField(line, "missing").has_value());
+}
+
+TEST(JsonlFieldTest, ObjectIsBraceMatched) {
+  const std::string line =
+      R"({"counters":{"a":1,"b}":2,"nested":{"c":3}},"after":{"d":4}})";
+  EXPECT_EQ(JsonlObjectField(line, "counters"),
+            std::optional<std::string_view>(
+                R"({"a":1,"b}":2,"nested":{"c":3}})"));
+  EXPECT_EQ(JsonlObjectField(line, "nested"),
+            std::optional<std::string_view>(R"({"c":3})"));
+  EXPECT_FALSE(JsonlObjectField(R"({"a":1})", "a").has_value());
+  EXPECT_FALSE(JsonlObjectField(line, "missing").has_value());
+}
+
+// Each reader on a line cut short mid-record: what is complete still
+// reads, what the cut left open reads as absent, and nothing reads past
+// the end of the line.
+TEST(JsonlFieldTest, TruncatedLinesReadAsAbsent) {
+  EXPECT_FALSE(JsonlStringField(R"({"type":"cra)", "type").has_value());
+  EXPECT_FALSE(JsonlStringField(R"({"type":)", "type").has_value());
+  EXPECT_FALSE(JsonlNumberField(R"({"dur_ns":)", "dur_ns").has_value());
+  EXPECT_FALSE(JsonlNumberField(R"({"dur_ns":1e400})", "dur_ns").has_value());
+  EXPECT_FALSE(JsonlBoolField(R"({"final":tr)", "final").has_value());
+  EXPECT_FALSE(JsonlBoolField(R"({"final":)", "final").has_value());
+  EXPECT_EQ(*JsonlStringArrayField(R"({"frames":["f0","f1)", "frames"),
+            std::vector<std::string>{"f0"});
+  EXPECT_EQ(*JsonlStringArrayField(R"({"frames":["f0","bad\"]})", "frames"),
+            std::vector<std::string>{"f0"});
+  EXPECT_TRUE(JsonlStringArrayField(R"({"frames":[)", "frames")->empty());
+  EXPECT_FALSE(JsonlObjectField(R"({"seeds":{"rng":7)", "seeds").has_value());
+  EXPECT_FALSE(
+      JsonlObjectField(R"({"seeds":{"rng":"}\"})", "seeds").has_value());
+}
+
+TEST(RecordTypesTest, ListsEachWriterTypeOnce) {
+  EXPECT_EQ(kRecordTypes.size(), 23u);
+  for (const std::string_view type : kRecordTypes) {
+    EXPECT_TRUE(IsKnownRecordType(type)) << type;
+    EXPECT_EQ(std::count(kRecordTypes.begin(), kRecordTypes.end(), type), 1)
+        << type;
+  }
+  EXPECT_FALSE(IsKnownRecordType("quantum_flux"));
+  EXPECT_FALSE(IsKnownRecordType(""));
+  EXPECT_FALSE(IsKnownRecordType("span "));
 }
 
 TEST(MemorySinkTest, KeepsLinesInOrder) {

@@ -21,6 +21,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/sink.h"
@@ -30,6 +31,10 @@
 
 namespace chameleon {
 namespace {
+
+bool Flag(std::string_view line, std::string_view key) {
+  return obs::JsonlBoolField(line, key).value_or(false);
+}
 
 struct WatchState {
   std::map<std::string, std::string> last_estimator_line;
@@ -49,6 +54,14 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
   const auto type = obs::JsonlStringField(line, "type");
   if (!type.has_value()) return "";
   ++state->records;
+  if (!obs::IsKnownRecordType(*type)) {
+    if (state->unknown_types_noted.insert(*type).second) {
+      std::fprintf(stderr,
+                   "note: passing through unknown record type \"%s\"\n",
+                   type->c_str());
+    }
+    return "";
+  }
   if (*type == "manifest") {
     const auto tool = obs::JsonlStringField(line, "tool");
     const auto describe = obs::JsonlStringField(line, "git_describe");
@@ -69,7 +82,7 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
     }
     text += StrFormat(" %.3g/s", rate);
     if (total > done && rate > 0.0) text += StrFormat(" ETA %.1fs", eta);
-    if (line.find("\"final\":true") != std::string::npos) {
+    if (Flag(line, "final")) {
       text += " [finished]";
     }
     return text + "\n";
@@ -86,10 +99,8 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
     std::string text =
         StrFormat("[%s] n=%.0f mean=%.6g ci_halfwidth=%.4g (%.3g/s)",
                   label.value_or("?").c_str(), samples, mean, hw, rate);
-    if (line.find("\"final\":true") != std::string::npos) {
-      text += line.find("\"stopped_early\":true") != std::string::npos
-                  ? " [stopped early]"
-                  : " [done]";
+    if (Flag(line, "final")) {
+      text += Flag(line, "stopped_early") ? " [stopped early]" : " [done]";
     }
     state->last_estimator_line[label.value_or("?")] = text;
     return text + "\n";
@@ -128,8 +139,7 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
         obs::JsonlNumberField(line, "vertices").value_or(0.0);
     const double not_obf =
         obs::JsonlNumberField(line, "not_obfuscated").value_or(0.0);
-    const bool obfuscated =
-        line.find("\"obfuscated\":true") != std::string::npos;
+    const bool obfuscated = Flag(line, "obfuscated");
     return StrFormat(
         "(k=%.4g, eps=%.4g)-obfuscation %s: eps_hat=%.6g "
         "(%.0f/%.0f vertices exposed)\n",
@@ -145,7 +155,7 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
     const double sigma = obs::JsonlNumberField(line, "sigma").value_or(0.0);
     const double eps_hat =
         obs::JsonlNumberField(line, "eps_hat").value_or(0.0);
-    const bool success = line.find("\"success\":true") != std::string::npos;
+    const bool success = Flag(line, "success");
     return StrFormat(
         "%s %s level %.0f attempt %.0f: sigma=%.4g -> eps_hat=%.4g %s\n",
         method.value_or("?").c_str(), phase.value_or("?").c_str(), level,
@@ -158,7 +168,7 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
     const double sigma = obs::JsonlNumberField(line, "sigma").value_or(0.0);
     const double best =
         obs::JsonlNumberField(line, "best_sigma").value_or(0.0);
-    const bool success = line.find("\"success\":true") != std::string::npos;
+    const bool success = Flag(line, "success");
     if (phase.has_value() && *phase == "final") {
       return StrFormat("%s sigma search done: best sigma=%.4g (%s)\n",
                        method.value_or("?").c_str(), best,
@@ -180,7 +190,7 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
         obs::JsonlNumberField(line, "mean_err").value_or(0.0);
     const double rel_err =
         obs::JsonlNumberField(line, "rel_err").value_or(0.0);
-    const bool final_row = line.find("\"final\":true") != std::string::npos;
+    const bool final_row = Flag(line, "final");
     return StrFormat(
         "relevance %s: %.0f/%.0f worlds, mean ERR %.4g, rel err %.4g%s\n",
         label.value_or("?").c_str(), worlds, total, mean_err, rel_err,
@@ -196,17 +206,10 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
                                  name.value_or("?").c_str(), signal);
     if (addr.has_value()) text += StrFormat(" at %s", addr->c_str());
     if (span.has_value()) text += StrFormat(" in span %s", span->c_str());
-    // Frame count without parsing the array: the frames are the only
-    // place a crash record nests strings.
-    std::size_t frames = 0;
-    const std::size_t open = line.find("\"frames\":[");
-    if (open != std::string::npos) {
-      const std::size_t close = line.find(']', open);
-      for (std::size_t i = open + 10; i < close && i < line.size(); ++i) {
-        if (line[i] == '"' && line[i - 1] != '\\') ++frames;
-      }
-      frames /= 2;
-    }
+    const std::size_t frames =
+        obs::JsonlStringArrayField(line, "frames")
+            .value_or(std::vector<std::string>{})
+            .size();
     text += StrFormat(" — %zu frames, run obs_dump for the backtrace",
                       frames);
     return text + "\n";
@@ -217,8 +220,7 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
         obs::JsonlNumberField(line, "idle_ms").value_or(0.0);
     const double stall_s =
         obs::JsonlNumberField(line, "stall_seconds").value_or(0.0);
-    const bool aborting =
-        line.find("\"aborting\":true") != std::string::npos;
+    const bool aborting = Flag(line, "aborting");
     return StrFormat("WATCHDOG: %s idle %.1fs (threshold %.1fs)%s\n",
                      path.value_or("?").c_str(), idle_ms * 1e-3, stall_s,
                      aborting ? " — aborting the run" : "");
@@ -241,7 +243,7 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
         obs::JsonlNumberField(line, "requested").value_or(0.0);
     const double wall_ns =
         obs::JsonlNumberField(line, "wall_ns").value_or(0.0);
-    if (line.find("\"partial\":true") != std::string::npos) {
+    if (Flag(line, "partial")) {
       const double done =
           obs::JsonlNumberField(line, "blocks_done").value_or(0.0);
       const double blocks =
@@ -302,10 +304,7 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
     return StrFormat(
         "heap %s: cum %.2f MiB, live %.1f KiB over %.0f samples%s\n",
         span.value_or("?").c_str(), cum / 1048576.0, live / 1024.0,
-        samples,
-        line.find("\"allowlisted\":true") != std::string::npos
-            ? " [allowlisted]"
-            : "");
+        samples, Flag(line, "allowlisted") ? " [allowlisted]" : "");
   }
   if (*type == "heap_timeline") {
     const double samples =
@@ -334,13 +333,7 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
     }
     return text + "\n";
   }
-  if (*type != "span" && *type != "snapshot" &&
-      state->unknown_types_noted.insert(*type).second) {
-    std::fprintf(stderr,
-                 "note: passing through unknown record type \"%s\"\n",
-                 type->c_str());
-  }
-  return "";
+  return "";  // span, snapshot
 }
 
 void PrintConvergenceSummary(const WatchState& state) {
