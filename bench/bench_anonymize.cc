@@ -10,19 +10,14 @@
 // and the truncated-normal sampler the perturbation leans on.
 
 #include <cstdint>
-#include <cstdio>
-#include <tuple>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "chameleon/anonymize/gen_obf.h"
 #include "chameleon/anonymize/perturbation.h"
 #include "chameleon/anonymize/relevance.h"
+#include "chameleon/graph/generators.h"
 #include "chameleon/graph/uncertain_graph.h"
-#include "chameleon/obs/run_context.h"
 #include "chameleon/privacy/uniqueness.h"
-#include "chameleon/util/flags.h"
 #include "chameleon/util/rng.h"
 #include "harness.h"
 
@@ -31,36 +26,12 @@ namespace {
 
 constexpr std::uint64_t kSeed = 2018;
 
-/// Deterministic Erdos-Renyi-style edge list (same construction as
-/// bench_core/bench_privacy, duplicated so the suites stay independent).
-std::vector<std::tuple<NodeId, NodeId, double>> RandomEdges(NodeId nodes,
-                                                            double avg_degree) {
-  Rng rng(kSeed);
-  const auto target =
-      static_cast<std::size_t>(avg_degree * static_cast<double>(nodes) / 2.0);
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::tuple<NodeId, NodeId, double>> edges;
-  edges.reserve(target);
-  while (edges.size() < target) {
-    auto u = static_cast<NodeId>(rng.UniformInt(nodes));
-    auto v = static_cast<NodeId>(rng.UniformInt(nodes));
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    if (!seen.insert((static_cast<std::uint64_t>(u) << 32) | v).second) {
-      continue;
-    }
-    edges.emplace_back(u, v, rng.Uniform(0.1, 0.9));
-  }
-  return edges;
-}
-
+/// The seeded ER graph every suite benchmarks on (p uniform in
+/// [0.1, 0.9]).
 graph::UncertainGraph BuildGraph(NodeId nodes, double avg_degree) {
-  graph::UncertainGraphBuilder builder(nodes);
-  for (const auto& [u, v, p] : RandomEdges(nodes, avg_degree)) {
-    (void)builder.AddEdge(u, v, p);
-  }
-  auto graph = std::move(builder).Build();
-  return std::move(graph).value();
+  Rng rng(kSeed);
+  return graph::RandomUncertainGraph(nodes, avg_degree, 0.1, 0.9, rng)
+      .value();
 }
 
 // --------------------------------------------------------------------------
@@ -158,68 +129,12 @@ void BM_TruncatedNormalDraws(bench::BenchContext& context) {
 }
 CHAMELEON_BENCHMARK(BM_TruncatedNormalDraws);
 
-int Run(int argc, char** argv) {
-  FlagSet flags(
-      "chameleon_bench_anonymize: run the anonymization benchmark suite "
-      "and write a canonical BENCH_<suite>.json for chameleon_bench_diff");
-  flags.AddString("out", "BENCH_anonymize.json", "output BENCH json path");
-  flags.AddString("suite", "anonymize", "suite name stamped into the json");
-  flags.AddBool("quick", false, "CI mode: fewer reps, shorter calibration");
-  flags.AddInt64("reps", 0, "timed repetitions (0: mode default)");
-  flags.AddString("filter", "", "only run benchmarks containing substring");
-  flags.AddBool("list", false, "list benchmark names and exit");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_bench_anonymize").c_str());
-    return 0;
-  }
-  if (flags.GetBool("list")) {
-    for (const std::string& name : bench::RegisteredBenchmarkNames()) {
-      std::fprintf(stdout, "%s\n", name.c_str());
-    }
-    return 0;
-  }
-
-  bench::BenchOptions options;
-  if (flags.GetBool("quick")) options = bench::BenchOptions::Quick();
-  if (flags.GetInt64("reps") > 0) {
-    options.reps = static_cast<int>(flags.GetInt64("reps"));
-  }
-  options.filter = flags.GetString("filter");
-
-  const std::vector<bench::BenchResult> results =
-      bench::RunRegisteredBenchmarks(options);
-  if (results.empty()) {
-    std::fprintf(stderr, "no benchmarks matched filter \"%s\"\n",
-                 options.filter.c_str());
-    return 1;
-  }
-
-  const std::string& out = flags.GetString("out");
-  if (Status s = bench::WriteBenchFile(out, flags.GetString("suite"), results,
-                                       options);
-      !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stdout, "wrote %s (%zu benchmarks)\n", out.c_str(),
-               results.size());
-  return 0;
-}
-
 }  // namespace
 }  // namespace chameleon
 
-int main(int argc, char** argv) { return chameleon::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return chameleon::bench::RunSuiteMain(
+      argc, argv, "chameleon_bench_anonymize", "anonymize",
+      "chameleon_bench_anonymize: run the anonymization benchmark suite "
+      "and write a canonical BENCH_<suite>.json for chameleon_bench_diff");
+}

@@ -5,14 +5,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/sink.h"
+#include "chameleon/util/flags.h"
 #include "chameleon/util/stats.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
+#include "cli.h"
 
 namespace chameleon::bench {
 namespace {
@@ -210,6 +213,50 @@ std::vector<BenchResult> RunRegisteredBenchmarks(const BenchOptions& options) {
     results.push_back(std::move(result));
   }
   return results;
+}
+
+int RunSuiteMain(int argc, char** argv, std::string_view tool,
+                 std::string_view suite, std::string_view summary) {
+  FlagSet flags{std::string(summary)};
+  flags.AddString("out", StrFormat("BENCH_%s.json", std::string(suite).c_str()),
+                  "output BENCH json path");
+  flags.AddBool("quick", false, "CI mode: fewer reps, shorter calibration");
+  flags.AddInt64("reps", 0, "timed repetitions (0: mode default)");
+  flags.AddString("filter", "", "only run benchmarks containing substring");
+  flags.AddBool("list", false, "list benchmark names and exit");
+  if (const std::optional<int> exit_code =
+          cli::ParseCommandLine(flags, tool, argc, argv)) {
+    return *exit_code;
+  }
+  if (flags.GetBool("list")) {
+    for (const std::string& name : RegisteredBenchmarkNames()) {
+      std::fprintf(stdout, "%s\n", name.c_str());
+    }
+    return 0;
+  }
+
+  BenchOptions options;
+  if (flags.GetBool("quick")) options = BenchOptions::Quick();
+  if (flags.GetInt64("reps") > 0) {
+    options.reps = static_cast<int>(flags.GetInt64("reps"));
+  }
+  options.filter = flags.GetString("filter");
+
+  const std::vector<BenchResult> results = RunRegisteredBenchmarks(options);
+  if (results.empty()) {
+    std::fprintf(stderr, "no benchmarks matched filter \"%s\"\n",
+                 options.filter.c_str());
+    return 1;
+  }
+
+  const std::string& out = flags.GetString("out");
+  if (Status s = WriteBenchFile(out, suite, results, options); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stdout, "wrote %s (%zu benchmarks)\n", out.c_str(),
+               results.size());
+  return 0;
 }
 
 std::string BenchSuiteToJson(std::string_view suite,

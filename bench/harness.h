@@ -146,6 +146,14 @@ BenchResult MeasureBenchmark(std::string_view name, const BenchFn& fn,
 /// line per benchmark to stderr.
 std::vector<BenchResult> RunRegisteredBenchmarks(const BenchOptions& options);
 
+/// The whole main() of a suite driver `tool`: parses --out (default
+/// BENCH_<suite>.json), --quick, --reps, --filter and --list, runs the
+/// registered benchmarks and writes them as suite `suite`. `summary` is
+/// the --help headline. Exit 0 written, 1 nothing matched or the write
+/// failed, 2 a usage error.
+int RunSuiteMain(int argc, char** argv, std::string_view tool,
+                 std::string_view suite, std::string_view summary);
+
 /// A parsed (or about-to-be-written) BENCH_<suite>.json.
 struct BenchSuite {
   std::string schema;  ///< "chameleon-bench-v1"

@@ -30,10 +30,10 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "chameleon/graph/generators.h"
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/heap_profiler.h"
@@ -159,27 +159,6 @@ Result<Plan> ObsDormantPlan() {
 constexpr NodeId kProfilerNodes = 1000;
 constexpr int kProfilerHz = 99;
 
-graph::UncertainGraph RandomGraph(NodeId nodes, double avg_degree) {
-  Rng rng(kSeed);
-  const auto target =
-      static_cast<std::size_t>(avg_degree * static_cast<double>(nodes) / 2.0);
-  std::unordered_set<std::uint64_t> seen;
-  graph::UncertainGraphBuilder builder(nodes);
-  std::size_t added = 0;
-  while (added < target) {
-    auto u = static_cast<NodeId>(rng.UniformInt(nodes));
-    auto v = static_cast<NodeId>(rng.UniformInt(nodes));
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    if (!seen.insert((static_cast<std::uint64_t>(u) << 32) | v).second) {
-      continue;
-    }
-    (void)builder.AddEdge(u, v, rng.Uniform(0.1, 0.9));
-    ++added;
-  }
-  return std::move(std::move(builder).Build()).value();
-}
-
 Status StartProfiler() {
   obs::ProfilerOptions options;
   options.hz = kProfilerHz;
@@ -203,8 +182,12 @@ Result<Plan> ProfilerPlan() {
   }
   (void)obs::StopGlobalProfiler();
 
-  const auto graph = std::make_shared<const graph::UncertainGraph>(
-      RandomGraph(kProfilerNodes, 8.0));
+  Rng graph_rng(kSeed);
+  Result<graph::UncertainGraph> random =
+      graph::RandomUncertainGraph(kProfilerNodes, 8.0, 0.1, 0.9, graph_rng);
+  if (!random.ok()) return random.status();
+  const auto graph =
+      std::make_shared<const graph::UncertainGraph>(*std::move(random));
   const auto estimate = [graph](std::uint64_t worlds) {
     Rng rng(kSeed);
     rel::MonteCarloOptions mc;

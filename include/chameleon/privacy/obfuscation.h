@@ -44,6 +44,10 @@ enum class AdversaryModel {
 
 std::string_view AdversaryModelName(AdversaryModel model);
 
+/// Parses the tools' `--adversary` spelling: "expected" or "structural".
+/// InvalidArgument otherwise.
+Result<AdversaryModel> ParseAdversaryModel(std::string_view text);
+
 struct ObfuscationOptions {
   /// Privacy level: required posterior entropy is log₂ k. Must be > 1.
   double k = 100.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "chameleon/obs/obs.h"
 #include "chameleon/util/parallel.h"
@@ -56,6 +57,14 @@ std::string_view AdversaryModelName(AdversaryModel model) {
       return "structural_degree";
   }
   return "unknown";
+}
+
+Result<AdversaryModel> ParseAdversaryModel(std::string_view text) {
+  if (text == "expected") return AdversaryModel::kRoundedExpectedDegree;
+  if (text == "structural") return AdversaryModel::kStructuralDegree;
+  return Status::InvalidArgument(
+      StrFormat("unknown adversary '%s' (want expected|structural)",
+                std::string(text).c_str()));
 }
 
 Result<ObfuscationCertificate> VerifyObfuscation(

@@ -188,6 +188,20 @@ TEST(VerifyObfuscationTest, RejectsBadArguments) {
   EXPECT_FALSE(VerifyObfuscation(*empty, options).ok());
 }
 
+TEST(ParseAdversaryModelTest, AcceptsTheTwoFlagSpellingsOnly) {
+  const Result<AdversaryModel> expected = ParseAdversaryModel("expected");
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(*expected, AdversaryModel::kRoundedExpectedDegree);
+  const Result<AdversaryModel> structural = ParseAdversaryModel("structural");
+  ASSERT_TRUE(structural.ok());
+  EXPECT_EQ(*structural, AdversaryModel::kStructuralDegree);
+  for (const char* bad : {"", "Expected", "expected_degree", "structurals"}) {
+    const Result<AdversaryModel> parsed = ParseAdversaryModel(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(VerifyObfuscationTest, EmitsPrivacyCheckRecord) {
   const std::string path = testing::TempDir() + "/chameleon_privacy.jsonl";
   std::remove(path.c_str());

@@ -10,59 +10,23 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <unordered_set>
-#include <utility>
-#include <vector>
+#include <optional>
 
+#include "chameleon/graph/generators.h"
 #include "chameleon/graph/io.h"
 #include "chameleon/graph/uncertain_graph.h"
-#include "chameleon/obs/heap_profiler.h"
 #include "chameleon/obs/obs.h"
-#include "chameleon/obs/profiler.h"
 #include "chameleon/obs/run_context.h"
-#include "chameleon/obs/status_server.h"
-#include "chameleon/obs/watchdog.h"
 #include "chameleon/reliability/reliability.h"
 #include "chameleon/util/flags.h"
-#include "chameleon/util/logging.h"
 #include "chameleon/util/parallel.h"
 #include "chameleon/util/rng.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/threads_flag.h"
+#include "cli.h"
 
 namespace chameleon {
 namespace {
-
-/// Erdos-Renyi-style uncertain graph: `avg_degree * nodes / 2` distinct
-/// random edges with probabilities uniform in [p_min, p_max]. (The full
-/// generator suite returns with src/graph/generators.)
-Result<graph::UncertainGraph> MakeRandomGraph(NodeId nodes, double avg_degree,
-                                              double p_min, double p_max,
-                                              Rng& rng) {
-  if (nodes < 2) return Status::InvalidArgument("need at least 2 nodes");
-  graph::UncertainGraphBuilder builder(nodes);
-  const auto target_edges =
-      static_cast<std::size_t>(avg_degree * static_cast<double>(nodes) / 2.0);
-  std::size_t added = 0;
-  std::size_t attempts = 0;
-  const std::size_t max_attempts = target_edges * 20 + 100;
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(target_edges * 2);
-  while (added < target_edges && attempts < max_attempts) {
-    ++attempts;
-    auto u = static_cast<NodeId>(rng.UniformInt(nodes));
-    auto v = static_cast<NodeId>(rng.UniformInt(nodes));
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    if (!seen.insert((static_cast<std::uint64_t>(u) << 32) | v).second) {
-      continue;
-    }
-    CHAMELEON_RETURN_IF_ERROR(builder.AddEdge(u, v, rng.Uniform(p_min, p_max)));
-    ++added;
-  }
-  return std::move(builder).Build();
-}
 
 int Run(int argc, char** argv) {
   FlagSet flags(
@@ -86,60 +50,15 @@ int Run(int argc, char** argv) {
                   "(0 = off)");
   flags.AddInt64("min_samples", 100,
                  "no early-stop decision before this many worlds");
-  flags.AddString("metrics_out", "",
-                  "JSONL metrics/trace sink (also: $CHAMELEON_METRICS)");
   flags.AddInt64("statusz_port", -1,
                  "serve live /statusz and /metricsz on this loopback port "
                  "(0 = ephemeral, -1 = off)");
-  flags.AddString("profile", "",
-                  "sample CPU for the whole run and write folded collapsed "
-                  "stacks (flamegraph.pl input) to this path");
-  flags.AddInt64("profile_hz", 99, "sampling frequency per CPU-second");
-  flags.AddString("heap_profile", "",
-                  "sample heap allocations for the whole run, emit "
-                  "heap_profile records, and write folded collapsed "
-                  "stacks (flamegraph.pl input) to this path");
-  flags.AddInt64("heap_sample_bytes",
-                 static_cast<std::int64_t>(obs::kDefaultHeapSampleBytes),
-                 "mean bytes between heap samples (smaller = finer "
-                 "attribution, more overhead)");
-  flags.AddDouble("watchdog_stall_seconds", 0.0,
-                  "emit a watchdog_stall record when a phase makes no "
-                  "progress for this long (0 = watchdog off)");
-  flags.AddDouble("watchdog_abort_after", 0.0,
-                  "SIGABRT (-> crash forensics dump) once a stall persists "
-                  "this many seconds past --watchdog_stall_seconds (0 = "
-                  "never abort)");
   flags.AddBool("connected_pairs", true,
                 "also estimate E[#connected pairs]");
-  flags.AddBool("hw_counters", true,
-                "attribute hardware counters (perf_event_open) to spans; "
-                "degrades to a hw_counters_unavailable note when the "
-                "kernel refuses");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_mc_reliability").c_str());
-    return 0;
-  }
-
-  // Crash forensics before anything heavy runs: a SIGSEGV from here on
-  // leaves a `crash` record + flight-recorder dump in the JSONL stream
-  // (or at least a symbolized backtrace on stderr).
-  if (Status s = obs::InstallCrashForensics(); !s.ok()) {
-    std::fprintf(stderr, "warning: crash forensics disabled: %s\n",
-                 s.ToString().c_str());
+  cli::AddRunFlags(flags);
+  if (const std::optional<int> exit_code = cli::ParseCommandLine(
+          flags, "chameleon_mc_reliability", argc, argv)) {
+    return *exit_code;
   }
 
   // The Monte Carlo estimators themselves stay serial (one RNG stream,
@@ -147,70 +66,6 @@ int Run(int argc, char** argv) {
   // parallel library paths they call into, via the process default.
   const int threads = ResolvedThreads(flags);
   SetDefaultThreads(threads);
-
-  obs::ObsOptions obs_options;
-  obs_options.metrics_out = flags.GetString("metrics_out");
-  obs_options.hw_counters = flags.GetBool("hw_counters");
-  const std::int64_t statusz_port = flags.GetInt64("statusz_port");
-  const std::string profile_out = flags.GetString("profile");
-  const std::string heap_profile_out = flags.GetString("heap_profile");
-  const double watchdog_stall = flags.GetDouble("watchdog_stall_seconds");
-  if (obs_options.metrics_out.empty() &&
-      (statusz_port >= 0 || !profile_out.empty() ||
-       !heap_profile_out.empty() || watchdog_stall > 0.0) &&
-      std::getenv("CHAMELEON_METRICS") == nullptr) {
-    // /statusz, /metricsz, and the profiler render from the live obs
-    // registries, which only run when a sink exists; a discarded stream
-    // keeps them live without forcing the user to pick a metrics path.
-    obs_options.metrics_out = "/dev/null";
-  }
-  if (Status s = obs::InitObservability(obs_options); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  if (statusz_port >= 0) {
-    obs::StatusServerOptions server_options;
-    server_options.port = static_cast<int>(statusz_port);
-    if (Status s = obs::StartGlobalStatusServer(server_options); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "statusz: http://127.0.0.1:%d/statusz\n",
-                 obs::GlobalStatusServer()->port());
-  }
-  if (watchdog_stall > 0.0) {
-    obs::WatchdogOptions watchdog_options;
-    watchdog_options.stall_seconds = watchdog_stall;
-    watchdog_options.abort_after_seconds =
-        flags.GetDouble("watchdog_abort_after");
-    if (Status s = obs::StartGlobalWatchdog(watchdog_options); !s.ok()) {
-      std::fprintf(stderr, "warning: watchdog disabled: %s\n",
-                   s.ToString().c_str());
-    }
-  }
-  if (!profile_out.empty()) {
-    obs::ProfilerOptions profiler_options;
-    profiler_options.hz = static_cast<int>(flags.GetInt64("profile_hz"));
-    profiler_options.folded_out = profile_out;
-    if (Status s = obs::StartGlobalProfiler(profiler_options); !s.ok()) {
-      // An OBS=OFF build (or a non-Linux host) still runs the estimate,
-      // just without a profile.
-      std::fprintf(stderr, "warning: profiler disabled: %s\n",
-                   s.ToString().c_str());
-    }
-  }
-  if (!heap_profile_out.empty()) {
-    obs::HeapProfilerOptions heap_options;
-    heap_options.sample_bytes =
-        static_cast<std::size_t>(flags.GetInt64("heap_sample_bytes"));
-    heap_options.folded_out = heap_profile_out;
-    if (Status s = obs::StartHeapProfiler(heap_options); !s.ok()) {
-      // Sanitizer and OBS=OFF builds still run the estimate; FinalizeRun
-      // notes the reason in a heap_profiler_unavailable record.
-      std::fprintf(stderr, "warning: heap profiler disabled: %s\n",
-                   s.ToString().c_str());
-    }
-  }
 
   // First record of the stream: full run provenance (build, argv, seed).
   obs::RunManifest manifest =
@@ -222,7 +77,12 @@ int Run(int argc, char** argv) {
                                  ? "random"
                                  : flags.GetString("graph"));
   manifest.AddParam("threads", StrFormat("%d", threads));
-  obs::EmitRunManifest(manifest);
+  if (Status s = cli::StartRun(flags, manifest,
+                               flags.GetInt64("statusz_port"));
+      !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 1;
+  }
 
   Rng rng(static_cast<std::uint64_t>(flags.GetInt64("seed")));
   Result<graph::UncertainGraph> graph = [&]() -> Result<graph::UncertainGraph> {
@@ -230,10 +90,10 @@ int Run(int argc, char** argv) {
     if (!flags.GetString("graph").empty()) {
       return graph::ReadEdgeList(flags.GetString("graph"));
     }
-    return MakeRandomGraph(static_cast<NodeId>(flags.GetInt64("nodes")),
-                           flags.GetDouble("avg_degree"),
-                           flags.GetDouble("p_min"), flags.GetDouble("p_max"),
-                           rng);
+    return graph::RandomUncertainGraph(
+        static_cast<NodeId>(flags.GetInt64("nodes")),
+        flags.GetDouble("avg_degree"), flags.GetDouble("p_min"),
+        flags.GetDouble("p_max"), rng);
   }();
   if (!graph.ok()) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
@@ -282,37 +142,7 @@ int Run(int argc, char** argv) {
                  pairs->stopped_early ? ", stopped early" : "");
   }
 
-  if (obs::ProfilerRunning()) {
-    // Explicit stop (FinalizeRun would also do it) so the sample count
-    // lands on stdout next to the estimates.
-    if (Result<obs::ProfileReport> profile = obs::StopGlobalProfiler();
-        profile.ok()) {
-      std::fprintf(stdout, "profile: %llu samples (%llu dropped) -> %s\n",
-                   static_cast<unsigned long long>(profile->samples),
-                   static_cast<unsigned long long>(profile->dropped),
-                   profile_out.c_str());
-    } else {
-      std::fprintf(stderr, "warning: profiler stop failed: %s\n",
-                   profile.status().ToString().c_str());
-    }
-  }
-
-  if (obs::HeapProfilerActive()) {
-    // Snapshot only — FinalizeRun (inside ShutdownObservability) emits
-    // the heap_profile records and stops the sampler, so stopping here
-    // would replace them with an "unavailable" note.
-    const obs::HeapProfileReport heap =
-        obs::SnapshotHeapProfile(/*symbolize=*/false);
-    std::fprintf(stdout,
-                 "heap: %llu samples, est peak %.2f MiB, exact cum "
-                 "%.2f MiB -> %s\n",
-                 static_cast<unsigned long long>(heap.samples),
-                 static_cast<double>(heap.est_peak_bytes) / 1048576.0,
-                 static_cast<double>(heap.exact_cum_bytes) / 1048576.0,
-                 heap_profile_out.c_str());
-  }
-
-  obs::ShutdownObservability();
+  cli::FinishRun();
   return 0;
 }
 

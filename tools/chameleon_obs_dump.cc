@@ -28,6 +28,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,6 +40,7 @@
 #include "chameleon/util/flags.h"
 #include "chameleon/util/status.h"
 #include "chameleon/util/string_util.h"
+#include "cli.h"
 
 namespace chameleon {
 namespace {
@@ -844,27 +846,11 @@ int Run(int argc, char** argv) {
                 "the timing report (sort with --heap_sort)");
   flags.AddString("heap_sort", "cum",
                   "heap table order: cum | live | peak | leak");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
+  if (const std::optional<int> exit_code =
+          cli::ParseCommandLine(flags, "chameleon_obs_dump", argc, argv)) {
+    return *exit_code;
   }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_obs_dump").c_str());
-    return 0;
-  }
-  std::string path = flags.GetString("input");
-  if (path.empty() && !flags.positional().empty()) {
-    path = flags.positional().front();
-  }
+  const std::string path = cli::FlagOrFirstPositional(flags, "input");
   if (path.empty()) {
     std::fprintf(stderr, "error: no input file\n%s", flags.Usage().c_str());
     return 2;

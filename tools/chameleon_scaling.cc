@@ -21,11 +21,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "chameleon/graph/generators.h"
 #include "chameleon/graph/uncertain_graph.h"
 #include "chameleon/obs/hw_counters.h"
 #include "chameleon/obs/obs.h"
@@ -41,38 +42,10 @@
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/threads_flag.h"
 #include "chameleon/util/timer.h"
+#include "cli.h"
 
 namespace chameleon {
 namespace {
-
-/// Erdos-Renyi-style uncertain graph (same construction as the
-/// mc_reliability driver, seeded, so sweeps are reproducible).
-Result<graph::UncertainGraph> MakeRandomGraph(NodeId nodes, double avg_degree,
-                                              double p_min, double p_max,
-                                              Rng& rng) {
-  if (nodes < 2) return Status::InvalidArgument("need at least 2 nodes");
-  graph::UncertainGraphBuilder builder(nodes);
-  const auto target_edges =
-      static_cast<std::size_t>(avg_degree * static_cast<double>(nodes) / 2.0);
-  std::size_t added = 0;
-  std::size_t attempts = 0;
-  const std::size_t max_attempts = target_edges * 20 + 100;
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(target_edges * 2);
-  while (added < target_edges && attempts < max_attempts) {
-    ++attempts;
-    auto u = static_cast<NodeId>(rng.UniformInt(nodes));
-    auto v = static_cast<NodeId>(rng.UniformInt(nodes));
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    if (!seen.insert((static_cast<std::uint64_t>(u) << 32) | v).second) {
-      continue;
-    }
-    CHAMELEON_RETURN_IF_ERROR(builder.AddEdge(u, v, rng.Uniform(p_min, p_max)));
-    ++added;
-  }
-  return std::move(builder).Build();
-}
 
 /// Monte Carlo workload: sample --mc_worlds possible worlds in parallel
 /// blocks and accumulate the edges-present total. Per-block RNGs seeded
@@ -208,19 +181,6 @@ std::uint64_t MedianNanos(std::vector<std::uint64_t> samples) {
   return samples[samples.size() / 2];
 }
 
-Status WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::IoError("cannot open " + path + " for writing");
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  const int close_rc = std::fclose(file);
-  if (written != text.size() || close_rc != 0) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::OK();
-}
-
 std::string ScalingJson(const std::string& workload,
                         const graph::UncertainGraph& graph,
                         const FlagSet& flags,
@@ -305,22 +265,9 @@ int Run(int argc, char** argv) {
                 "for per-row IPC / cache-miss-rate columns and the "
                 "bandwidth-saturation verdict; degrades to a "
                 "hw_counters_unavailable note when the kernel refuses");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_scaling").c_str());
-    return 0;
+  if (const std::optional<int> exit_code =
+          cli::ParseCommandLine(flags, "chameleon_scaling", argc, argv)) {
+    return *exit_code;
   }
 
   const std::string& workload = flags.GetString("workload");
@@ -384,10 +331,10 @@ int Run(int argc, char** argv) {
   Rng rng(static_cast<std::uint64_t>(flags.GetInt64("seed")));
   Result<graph::UncertainGraph> graph = [&]() -> Result<graph::UncertainGraph> {
     CHOBS_SPAN(span, "scaling_setup");
-    return MakeRandomGraph(static_cast<NodeId>(flags.GetInt64("nodes")),
-                           flags.GetDouble("avg_degree"),
-                           flags.GetDouble("p_min"), flags.GetDouble("p_max"),
-                           rng);
+    return graph::RandomUncertainGraph(
+        static_cast<NodeId>(flags.GetInt64("nodes")),
+        flags.GetDouble("avg_degree"), flags.GetDouble("p_min"),
+        flags.GetDouble("p_max"), rng);
   }();
   if (!graph.ok()) {
     std::fprintf(stderr, "error: %s\n", graph.status().ToString().c_str());
@@ -519,7 +466,7 @@ int Run(int argc, char** argv) {
 
   const std::string& out = flags.GetString("out");
   if (!out.empty()) {
-    if (Status s = WriteTextFile(
+    if (Status s = cli::WriteTextFile(
             out, ScalingJson(workload, *graph, flags, rows, fit,
                              bandwidth_verdict));
         !s.ok()) {

@@ -10,10 +10,12 @@
 // in the trace's otherData.
 
 #include <cstdio>
+#include <optional>
 
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/trace_export.h"
 #include "chameleon/util/flags.h"
+#include "cli.h"
 
 namespace chameleon {
 namespace {
@@ -23,22 +25,9 @@ int Run(int argc, char** argv) {
       "chameleon_trace_export: convert a metrics JSONL stream to Chrome "
       "trace-event JSON (chrome://tracing, ui.perfetto.dev)\n"
       "usage: chameleon_trace_export <metrics.jsonl> <out.trace.json>");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s",
-                 obs::VersionString("chameleon_trace_export").c_str());
-    return 0;
+  if (const std::optional<int> exit_code =
+          cli::ParseCommandLine(flags, "chameleon_trace_export", argc, argv)) {
+    return *exit_code;
   }
   if (flags.positional().size() != 2) {
     std::fprintf(stderr,

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "chameleon/util/flags.h"
 #include "chameleon/util/status.h"
 #include "chameleon/util/string_util.h"
+#include "cli.h"
 
 namespace chameleon {
 namespace {
@@ -401,26 +403,11 @@ int Run(int argc, char** argv) {
   flags.AddBool("once", false,
                 "render current contents + convergence summary, then exit");
   flags.AddInt64("interval_ms", 500, "poll interval while following");
-  flags.AddBool("version", false, "print build provenance and exit");
-  flags.AddBool("help", false, "show usage");
-
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
+  if (const std::optional<int> exit_code =
+          cli::ParseCommandLine(flags, "chameleon_watch", argc, argv)) {
+    return *exit_code;
   }
-  if (flags.GetBool("help")) {
-    std::fprintf(stdout, "%s", flags.Usage().c_str());
-    return 0;
-  }
-  if (flags.GetBool("version")) {
-    std::fprintf(stdout, "%s", obs::VersionString("chameleon_watch").c_str());
-    return 0;
-  }
-  std::string path = flags.GetString("input");
-  if (path.empty() && !flags.positional().empty()) {
-    path = flags.positional().front();
-  }
+  const std::string path = cli::FlagOrFirstPositional(flags, "input");
   if (path.empty()) {
     std::fprintf(stderr, "error: no input file\n%s", flags.Usage().c_str());
     return 2;
