@@ -89,6 +89,7 @@ struct ChameleonOptions {
   double uniqueness_bandwidth = 0.0;
   int threads = 0;
   std::uint64_t seed = 2018;
+  /// Log relevance progress lines while observability is enabled.
   bool heartbeat = true;
 };
 

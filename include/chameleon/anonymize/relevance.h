@@ -51,9 +51,10 @@ struct RelevanceOptions {
   /// cut at checkpoints so early stopping stays deterministic.
   std::size_t min_worlds = 32;
   /// Early-stop rule on the per-world total relevance mass: stop when
-  /// the 95% CI half-width falls to max_rel_err·|mean| (0 = off).
+  /// the 95% CI half-width falls to max_rel_err·|mean| (0 = off;
+  /// negative or non-finite is an error).
   double max_rel_err = 0.0;
-  /// Emit progress heartbeats to the log.
+  /// Log one progress line per round while observability is enabled.
   bool heartbeat = true;
 };
 
@@ -82,7 +83,8 @@ struct EdgeRelevance {
 /// Reused-sampling estimator (Algorithm 2). Emits an
 /// `anonymize/relevance` trace span and `relevance_progress` JSONL
 /// records at geometric world-count checkpoints while observability is
-/// live. InvalidArgument when options.worlds == 0.
+/// live. InvalidArgument when options.worlds == 0 or max_rel_err is
+/// negative or non-finite.
 Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
                                         const RelevanceOptions& options);
 

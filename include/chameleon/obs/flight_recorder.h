@@ -46,7 +46,7 @@ enum class FlightEventKind : std::uint8_t {
   kGeneric = 0,
   kSpanOpen = 1,
   kSpanClose = 2,
-  kCheckpoint = 3,  ///< heartbeat / estimator progress emit
+  kCheckpoint = 3,  ///< Monte Carlo progress (label, done, total)
   kSeed = 4,        ///< RNG seed recorded in the run manifest
   kGraphOp = 5,     ///< graph load / write / summary
   kLockWait = 6,    ///< TimedMutex long wait (a = wait ns)

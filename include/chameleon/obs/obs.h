@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "chameleon/obs/metrics.h"
-#include "chameleon/obs/progress.h"
 #include "chameleon/obs/sink.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/util/status.h"
@@ -41,9 +40,6 @@ struct ObsOptions {
   /// `read_env`); still empty: observability stays disabled.
   std::string metrics_out;
   bool read_env = true;
-  /// Default throttle for ProgressHeartbeat instances that do not
-  /// override it.
-  std::uint64_t heartbeat_interval_nanos = 500'000'000;
   /// Open per-thread hardware counter groups (perf_event_open) and
   /// attribute deltas to spans. When the kernel refuses (paranoid,
   /// seccomp, no PMU) or this is false, the run carries exactly one
@@ -91,9 +87,6 @@ RecordSink* GlobalSink();
 /// Writes a labelled full-registry snapshot record to the sink. Call at
 /// phase boundaries. No-op when disabled.
 void EmitSnapshot(std::string_view label);
-
-/// Default heartbeat throttle configured at init.
-std::uint64_t HeartbeatIntervalNanos();
 
 /// Monotonic timestamp of the most recent InitObservability(); 0 when no
 /// run was ever initialized. Feeds the /statusz uptime line.

@@ -82,9 +82,9 @@ class MemorySink : public RecordSink {
 };
 
 /// Every record type the library's writers emit.
-inline constexpr std::array<std::string_view, 23> kRecordTypes = {
-    "manifest", "span", "snapshot", "progress", "estimator_progress",
-    "status_server", "graph_summary", "profile", "privacy_check", "crash",
+inline constexpr std::array<std::string_view, 22> kRecordTypes = {
+    "manifest", "span", "snapshot", "estimator_progress", "status_server",
+    "graph_summary", "profile", "privacy_check", "crash",
     "flight_event_dump", "watchdog_stall", "parallel_region", "mutex_wait",
     "hw_counters", "hw_counters_unavailable", "heap_profile",
     "heap_timeline", "heap_profiler_unavailable", "relevance_progress",

@@ -14,8 +14,8 @@
 /// Flag-gated live inspection of a long Monte Carlo run: a background
 /// thread serving minimal HTTP/1.0 plain text on a loopback port.
 ///
-///   /statusz   run provenance, uptime, live span stack, heartbeats, and
-///              the per-estimator convergence table (human-readable text)
+///   /statusz   run provenance, uptime, live span stack, and the
+///              per-estimator progress table (human-readable text)
 ///   /metricsz  the full MetricsRegistry plus live convergence gauges in
 ///              Prometheus text exposition format 0.0.4
 ///

@@ -12,7 +12,8 @@
 ///   * span records   -> "X" complete events (ts/dur in microseconds on
 ///                       the monotonic clock), resource counters in args
 ///   * snapshot       -> "i" instant events marking phase boundaries
-///   * progress       -> "C" counter events (done units over time)
+///   * estimator_progress -> "C" counter events (samples over time, one
+///                       track per estimator label)
 ///   * manifest       -> process_name metadata + trace otherData
 /// Thread indices from span records become Chrome tids, so multi-threaded
 /// runs render one track per thread.

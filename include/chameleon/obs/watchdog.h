@@ -2,7 +2,7 @@
 #define CHAMELEON_OBS_WATCHDOG_H_
 
 /// Stall watchdog: a background thread that watches every live span's
-/// activity pulse — span opens/closes, heartbeat ticks, and estimator
+/// activity pulse — span opens/closes and estimator progress
 /// checkpoints all land in the flight recorder, so "progress" means
 /// "this thread recorded a flight event recently". When the innermost
 /// span on some thread sits idle past the configured interval, the

@@ -27,13 +27,13 @@ namespace chameleon::rel {
 struct MonteCarloOptions {
   /// Maximum possible worlds per estimate (paper default: 1000).
   std::size_t worlds = 1000;
-  /// Emit a throttled progress heartbeat for the world loop.
+  /// Log a throttled progress line while observability is enabled.
   bool heartbeat = true;
   /// Opt-in early stop: halt once the 95% CI half-width reaches this
-  /// absolute value (0 = rule off).
+  /// absolute value (0 = rule off; negative or non-finite is an error).
   double target_ci_halfwidth = 0.0;
   /// Opt-in early stop: halt once half-width <= max_rel_err * |mean|
-  /// (0 = rule off).
+  /// (0 = rule off; negative or non-finite is an error).
   double max_rel_err = 0.0;
   /// No stopping decision before this many worlds.
   std::size_t min_samples = 100;
@@ -50,7 +50,8 @@ struct ReliabilityEstimate {
 };
 
 /// P[s ~ t]: fraction of sampled worlds where s and t are connected.
-/// InvalidArgument when a terminal is out of range or worlds == 0.
+/// InvalidArgument when a terminal is out of range, worlds == 0, or a
+/// stopping-rule target is negative or non-finite.
 Result<ReliabilityEstimate> EstimateTwoTerminalReliability(
     const graph::UncertainGraph& graph, NodeId source, NodeId target,
     const MonteCarloOptions& options, Rng& rng);

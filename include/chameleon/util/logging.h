@@ -6,7 +6,7 @@
 
 /// \file logging.h
 /// Minimal stderr logging and CHECK macros. Library code uses CH_LOG for
-/// operational messages (progress heartbeats, sink lifecycle) and CH_CHECK
+/// operational messages (loop progress lines, sink lifecycle) and CH_CHECK
 /// for invariants whose violation is a bug, never for user-input errors
 /// (those return Status).
 

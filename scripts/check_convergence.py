@@ -5,8 +5,10 @@ Usage: check_convergence.py <metrics.jsonl> [min_records]
 
 Passes when every estimator label has >= min_records (default 3)
 estimator_progress records with strictly increasing sample counts and
-strictly shrinking CI half-widths, and at least one estimator finished
-with an early stop. Exits non-zero with a diagnostic otherwise.
+strictly shrinking CI half-widths, every record carries its loop's
+`total` with samples <= total, no retired `progress` record appears, and
+at least one estimator finished with an early stop. Exits non-zero with a
+diagnostic otherwise.
 """
 import collections
 import json
@@ -31,7 +33,15 @@ def main() -> int:
             except json.JSONDecodeError as err:
                 print(f"{path}:{lineno}: invalid JSON: {err}", file=sys.stderr)
                 return 1
+            if obj.get("type") == "progress":
+                print(f"{path}:{lineno}: retired progress record",
+                      file=sys.stderr)
+                return 1
             if obj.get("type") == "estimator_progress":
+                if "total" not in obj or obj["samples"] > obj["total"]:
+                    print(f"{path}:{lineno}: estimator_progress needs "
+                          f"samples <= total: {line}", file=sys.stderr)
+                    return 1
                 records[obj["label"]].append(obj)
 
     if not records:

@@ -7,7 +7,6 @@
 #include "chameleon/obs/convergence.h"
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
-#include "chameleon/obs/progress.h"
 #include "chameleon/reliability/world_sampler.h"
 #include "chameleon/util/parallel.h"
 #include "chameleon/util/stats.h"
@@ -16,8 +15,6 @@
 
 namespace chameleon::anonymize {
 namespace {
-
-constexpr double kZ95 = 1.96;
 
 /// Independent per-world stream: hashing (seed, world) through splitmix
 /// keeps the estimate a pure function of the seed and world index, so
@@ -130,7 +127,8 @@ Status ValidateOptions(const RelevanceOptions& options) {
   if (options.worlds == 0) {
     return Status::InvalidArgument("relevance worlds must be positive");
   }
-  return Status::OK();
+  return obs::ValidateStoppingTarget("relevance max_rel_err",
+                                     options.max_rel_err);
 }
 
 void FillVertexErr(const graph::UncertainGraph& graph, EdgeRelevance& out) {
@@ -161,15 +159,6 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
   total.delta_sum.assign(num_edges, 0);
   total.delta_sq_sum.assign(num_edges, 0.0);
   total.absent.assign(num_edges, 0);
-
-  obs::ProgressHeartbeat progress(
-      "anonymize/relevance/sample_worlds",
-      options.heartbeat ? options.worlds : 0,
-      obs::ProgressHeartbeat::Options{
-          .min_interval_nanos = obs::HeartbeatIntervalNanos(),
-          .log = options.heartbeat,
-          .sink = nullptr,
-          .use_global_sink = options.heartbeat});
 
   // Worlds are processed in rounds whose boundaries are the geometric
   // convergence checkpoints (min_worlds, then doubling). Each round runs
@@ -205,13 +194,13 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
     }
     done = round_end;
     next_checkpoint = round_end * 2;
-    progress.Tick(done);
     CHOBS_FLIGHT_EVENT(kCheckpoint, "anonymize/relevance", done,
                        options.worlds);
 
     FinalizeEstimates(total, out);
     const double hw = obs::NormalCiHalfwidth(total.world_mass.variance(),
-                                             total.world_mass.count(), kZ95);
+                                             total.world_mass.count(),
+                                             obs::kConfidenceZ);
     const double mean_mass = total.world_mass.mean();
     const double rel_err = mean_mass == 0.0 ? 0.0 : hw / std::abs(mean_mass);
     const bool converged = options.max_rel_err > 0.0 && done >= min_worlds &&
@@ -221,9 +210,13 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
     stopped_early = converged && done < options.worlds;
     EmitRelevanceProgress(done, options.worlds, out.mean_err, out.max_err,
                           mean_mass, hw, rel_err, final, stopped_early);
+    // One progress line per (geometric) round, as a tracker would log.
+    if (options.heartbeat && obs::Enabled()) {
+      obs::LogProgress("anonymize/relevance", done, options.worlds,
+                       timer.ElapsedSeconds(), final);
+    }
     if (converged) break;
   }
-  progress.Finish();
 
   out.absent_worlds = total.absent;
   out.worlds = done;

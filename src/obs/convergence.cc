@@ -5,6 +5,7 @@
 
 #include "chameleon/obs/flight_recorder.h"
 #include "chameleon/obs/obs.h"
+#include "chameleon/util/logging.h"
 #include "chameleon/util/string_util.h"
 #include "chameleon/util/timer.h"
 
@@ -24,6 +25,28 @@ std::vector<ConvergenceTracker*>& Trackers() {
   return *trackers;
 }
 
+double RatePerSecond(std::uint64_t done, double elapsed_s) {
+  return elapsed_s > 0.0 ? static_cast<double>(done) / elapsed_s : 0.0;
+}
+
+double EtaSeconds(std::uint64_t done, std::uint64_t total, double rate) {
+  return total > done && rate > 0.0 ? static_cast<double>(total - done) / rate
+                                    : 0.0;
+}
+
+/// The one gauge set of a tracker, for Finish() and /metricsz scrapes.
+/// Gauge writes go through the same runtime gate as the CHOBS_* macros.
+void SetGauges(const ConvergenceSnapshot& s) {
+  if (!Enabled()) return;
+  MetricsRegistry& metrics = GlobalMetrics();
+  const std::string prefix = "convergence/" + s.label;
+  metrics.SetGauge(prefix + "/samples", static_cast<double>(s.samples));
+  metrics.SetGauge(prefix + "/mean", s.mean);
+  metrics.SetGauge(prefix + "/ci_halfwidth", s.ci_halfwidth);
+  metrics.SetGauge(prefix + "/rate_per_s", s.rate_per_s);
+  metrics.SetGauge(prefix + "/early_stop", s.stopped_early ? 1.0 : 0.0);
+}
+
 }  // namespace
 
 double NormalCiHalfwidth(double variance, std::uint64_t n, double z) {
@@ -40,6 +63,14 @@ double WilsonCiHalfwidth(std::uint64_t successes, std::uint64_t n, double z) {
   return z * std::sqrt(radicand) / (1.0 + z2 / nd);
 }
 
+bool MeetsStoppingRule(double hw, double mean, double target_ci_halfwidth,
+                       double max_rel_err) {
+  if (target_ci_halfwidth > 0.0 && hw <= target_ci_halfwidth) return true;
+  const double magnitude = std::abs(mean);
+  return max_rel_err > 0.0 && magnitude > 0.0 &&
+         hw <= max_rel_err * magnitude;
+}
+
 ConvergenceTracker::ConvergenceTracker(std::string_view label,
                                        ConvergenceOptions options)
     : label_(label),
@@ -49,9 +80,12 @@ ConvergenceTracker::ConvergenceTracker(std::string_view label,
   if (options_.sink == nullptr && options_.use_global_sink && Enabled()) {
     options_.sink = GlobalSink();
   }
-  // First time-throttled emission waits a full interval; the first
-  // checkpoint emission still fires at min_samples.
-  last_emit_nanos_ = start_nanos_;
+  // Logging is tied to the global enable switch so an uninstrumented run
+  // stays silent.
+  options_.log = options_.log && Enabled();
+  // First time-throttled emission (and progress line) waits a full
+  // interval; the first checkpoint emission still fires at min_samples.
+  last_emit_nanos_ = last_log_nanos_ = start_nanos_;
   const std::lock_guard<std::mutex> lock(TrackersMu());
   Trackers().push_back(this);
 }
@@ -69,35 +103,20 @@ ConvergenceTracker::~ConvergenceTracker() {
 void ConvergenceTracker::Add(double x) {
   const std::lock_guard<std::mutex> lock(mu_);
   stats_.Add(x);
-  MaybeEmitLocked();
-}
-
-void ConvergenceTracker::AddBernoulli(bool success) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  stats_.Add(success ? 1.0 : 0.0);
-  if (success) ++successes_;
+  if (options_.bernoulli && x != 0.0) ++successes_;
   MaybeEmitLocked();
 }
 
 bool ConvergenceTracker::ShouldStop() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return ShouldStopLocked();
-}
-
-bool ConvergenceTracker::ShouldStopLocked() const {
   if (!has_stopping_rule()) return false;
+  const std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t n = stats_.count();
   if (n < options_.min_samples || n < 2) return false;
   const double hw = options_.bernoulli
-                        ? WilsonCiHalfwidth(successes_, n, options_.z)
-                        : NormalCiHalfwidth(stats_.variance(), n, options_.z);
-  if (options_.target_ci_halfwidth > 0.0 &&
-      hw <= options_.target_ci_halfwidth) {
-    return true;
-  }
-  const double magnitude = std::abs(stats_.mean());
-  return options_.max_rel_err > 0.0 && magnitude > 0.0 &&
-         hw <= options_.max_rel_err * magnitude;
+                        ? WilsonCiHalfwidth(successes_, n, kConfidenceZ)
+                        : NormalCiHalfwidth(stats_.variance(), n, kConfidenceZ);
+  return MeetsStoppingRule(hw, stats_.mean(), options_.target_ci_halfwidth,
+                           options_.max_rel_err);
 }
 
 ConvergenceSnapshot ConvergenceTracker::SnapshotLocked() const {
@@ -108,16 +127,19 @@ ConvergenceSnapshot ConvergenceTracker::SnapshotLocked() const {
   snapshot.stddev = stats_.stddev();
   snapshot.ci_halfwidth =
       options_.bernoulli
-          ? WilsonCiHalfwidth(successes_, snapshot.samples, options_.z)
-          : NormalCiHalfwidth(stats_.variance(), snapshot.samples, options_.z);
+          ? WilsonCiHalfwidth(successes_, snapshot.samples, kConfidenceZ)
+          : NormalCiHalfwidth(stats_.variance(), snapshot.samples,
+                              kConfidenceZ);
   snapshot.rel_err = snapshot.mean != 0.0
                          ? snapshot.ci_halfwidth / std::abs(snapshot.mean)
                          : 0.0;
   const double elapsed_s =
       static_cast<double>(MonotonicNanos() - start_nanos_) * 1e-9;
-  snapshot.rate_per_s =
-      elapsed_s > 0.0 ? static_cast<double>(snapshot.samples) / elapsed_s : 0.0;
-  snapshot.bernoulli = options_.bernoulli;
+  snapshot.rate_per_s = RatePerSecond(snapshot.samples, elapsed_s);
+  snapshot.total = options_.total;
+  snapshot.eta_s = finished_ ? 0.0
+                             : EtaSeconds(snapshot.samples, options_.total,
+                                          snapshot.rate_per_s);
   snapshot.finished = finished_;
   snapshot.stopped_early = stopped_early_;
   return snapshot;
@@ -129,41 +151,53 @@ ConvergenceSnapshot ConvergenceTracker::Snapshot() const {
 }
 
 void ConvergenceTracker::MaybeEmitLocked() {
-  if (options_.sink == nullptr) return;
+  if (options_.sink == nullptr && !options_.log) return;
   const std::uint64_t n = stats_.count();
-  if (n >= next_checkpoint_) {
-    while (next_checkpoint_ <= n) next_checkpoint_ *= 2;
-    last_emit_nanos_ = MonotonicNanos();
-    EmitLocked(/*final=*/false, /*stopped_early=*/false);
+  const bool checkpoint = n >= next_checkpoint_;
+  while (next_checkpoint_ <= n) next_checkpoint_ *= 2;
+  const std::uint64_t now = MonotonicNanos();
+  if (!checkpoint &&
+      now - last_emit_nanos_ < options_.min_emit_interval_nanos) {
     return;
   }
-  const std::uint64_t now = MonotonicNanos();
-  if (now - last_emit_nanos_ < options_.min_emit_interval_nanos) return;
   last_emit_nanos_ = now;
-  EmitLocked(/*final=*/false, /*stopped_early=*/false);
+  EmitLocked();
 }
 
-void ConvergenceTracker::EmitLocked(bool final, bool stopped_early) {
-  if (options_.sink == nullptr) return;
+void ConvergenceTracker::EmitLocked() {
+  if (options_.sink == nullptr && !options_.log) return;
   const ConvergenceSnapshot s = SnapshotLocked();
   // Estimator checkpoints feed the flight recorder / watchdog activity
   // pulse (lock-free; mu_ being held here is irrelevant to it).
-  CHOBS_FLIGHT_EVENT(kCheckpoint, label_, s.samples, 0);
-  std::string line = StrFormat(
-      "{\"type\":\"estimator_progress\",\"label\":\"%s\",\"t_ms\":%llu,"
-      "\"samples\":%llu,\"mean\":%.9g,\"stddev\":%.9g,"
-      "\"ci_halfwidth\":%.9g,\"rel_err\":%.9g,\"rate_per_s\":%.1f",
-      JsonEscape(label_).c_str(),
-      static_cast<unsigned long long>(WallUnixMillis()),
-      static_cast<unsigned long long>(s.samples), s.mean, s.stddev,
-      s.ci_halfwidth, s.rel_err, s.rate_per_s);
-  if (final) {
-    line += StrFormat(",\"final\":true,\"stopped_early\":%s",
-                      stopped_early ? "true" : "false");
+  CHOBS_FLIGHT_EVENT(kCheckpoint, label_, s.samples, s.total);
+  if (options_.sink != nullptr) {
+    std::string line = StrFormat(
+        "{\"type\":\"estimator_progress\",\"label\":\"%s\",\"t_ms\":%llu,"
+        "\"samples\":%llu,\"mean\":%.9g,\"stddev\":%.9g,"
+        "\"ci_halfwidth\":%.9g,\"rel_err\":%.9g,\"rate_per_s\":%.1f,"
+        "\"total\":%llu,\"eta_s\":%.2f",
+        JsonEscape(label_).c_str(),
+        static_cast<unsigned long long>(WallUnixMillis()),
+        static_cast<unsigned long long>(s.samples), s.mean, s.stddev,
+        s.ci_halfwidth, s.rel_err, s.rate_per_s,
+        static_cast<unsigned long long>(s.total), s.eta_s);
+    if (s.finished) {
+      line += StrFormat(",\"final\":true,\"stopped_early\":%s",
+                        s.stopped_early ? "true" : "false");
+    }
+    line += '}';
+    options_.sink->Write(line);
+    ++emit_count_;
   }
-  line += '}';
-  options_.sink->Write(line);
-  ++emit_count_;
+  if (!options_.log) return;
+  const std::uint64_t now = MonotonicNanos();
+  if (!s.finished &&
+      now - last_log_nanos_ < options_.min_emit_interval_nanos) {
+    return;
+  }
+  last_log_nanos_ = now;
+  LogProgress(label_, s.samples, s.total,
+              static_cast<double>(now - start_nanos_) * 1e-9, s.finished);
 }
 
 void ConvergenceTracker::Finish(bool stopped_early) {
@@ -173,20 +207,12 @@ void ConvergenceTracker::Finish(bool stopped_early) {
     if (finished_) return;
     finished_ = true;
     stopped_early_ = stopped_early;
-    EmitLocked(/*final=*/true, stopped_early);
+    EmitLocked();
     s = SnapshotLocked();
   }
   // Final gauges record the stopping decision in the next snapshot /
-  // run_summary. Gauge writes go through the same runtime gate as the
-  // CHOBS_* macros.
-  if (Enabled()) {
-    MetricsRegistry& metrics = GlobalMetrics();
-    const std::string prefix = "convergence/" + label_;
-    metrics.SetGauge(prefix + "/samples", static_cast<double>(s.samples));
-    metrics.SetGauge(prefix + "/mean", s.mean);
-    metrics.SetGauge(prefix + "/ci_halfwidth", s.ci_halfwidth);
-    metrics.SetGauge(prefix + "/early_stop", stopped_early ? 1.0 : 0.0);
-  }
+  // run_summary.
+  SetGauges(s);
 }
 
 std::uint64_t ConvergenceTracker::emit_count() const {
@@ -206,14 +232,36 @@ std::vector<ConvergenceSnapshot> LiveConvergenceSnapshots() {
 
 void PublishConvergenceGauges() {
   if (!Enabled()) return;
-  MetricsRegistry& metrics = GlobalMetrics();
   for (const ConvergenceSnapshot& s : LiveConvergenceSnapshots()) {
-    const std::string prefix = "convergence/" + s.label;
-    metrics.SetGauge(prefix + "/samples", static_cast<double>(s.samples));
-    metrics.SetGauge(prefix + "/mean", s.mean);
-    metrics.SetGauge(prefix + "/ci_halfwidth", s.ci_halfwidth);
-    metrics.SetGauge(prefix + "/rate_per_s", s.rate_per_s);
+    SetGauges(s);
   }
+}
+
+void LogProgress(std::string_view label, std::uint64_t done,
+                 std::uint64_t total, double elapsed_s, bool final) {
+  const double rate = RatePerSecond(done, elapsed_s);
+  std::string text =
+      StrFormat("[%.*s] %llu", static_cast<int>(label.size()), label.data(),
+                static_cast<unsigned long long>(done));
+  if (total > 0) {
+    text += StrFormat("/%llu (%.1f%%)", static_cast<unsigned long long>(total),
+                      100.0 * static_cast<double>(done) /
+                          static_cast<double>(total));
+  }
+  text += StrFormat(", %.0f/s", rate);
+  if (final) {
+    text += StrFormat(", finished in %.2fs", elapsed_s);
+  } else if (total > 0) {
+    text += StrFormat(", ETA %.1fs", EtaSeconds(done, total, rate));
+  }
+  CH_LOG(Info) << text;
+}
+
+Status ValidateStoppingTarget(std::string_view name, double value) {
+  if (std::isfinite(value) && value >= 0.0) return Status::OK();
+  return Status::InvalidArgument(
+      StrFormat("%.*s must be finite and >= 0 (got %g)",
+                static_cast<int>(name.size()), name.data(), value));
 }
 
 }  // namespace chameleon::obs

@@ -25,7 +25,6 @@ namespace chameleon::obs {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-std::atomic<std::uint64_t> g_heartbeat_interval_nanos{500'000'000};
 
 std::mutex g_lifecycle_mu;
 // Sink and tracer survive Shutdown/re-Init for the process lifetime:
@@ -237,10 +236,6 @@ RecordSink* GlobalSink() {
   return g_sink;
 }
 
-std::uint64_t HeartbeatIntervalNanos() {
-  return g_heartbeat_interval_nanos.load(std::memory_order_relaxed);
-}
-
 std::uint64_t RunStartNanos() {
   const std::lock_guard<std::mutex> lock(g_lifecycle_mu);
   return g_run_start_nanos;
@@ -270,8 +265,6 @@ Status InitObservability(const ObsOptions& options) {
     g_tracer = retired.tracers.back().get();
     g_run_start_nanos = MonotonicNanos();
   }
-  g_heartbeat_interval_nanos.store(options.heartbeat_interval_nanos,
-                                   std::memory_order_relaxed);
   InstallTerminationHooks();
   g_enabled.store(true, std::memory_order_release);
 

@@ -22,7 +22,6 @@
 #include "chameleon/obs/obs.h"
 #include "chameleon/obs/parallel_stats.h"
 #include "chameleon/obs/profiler.h"
-#include "chameleon/obs/progress.h"
 #include "chameleon/obs/run_context.h"
 #include "chameleon/obs/trace.h"
 #include "chameleon/obs/watchdog.h"
@@ -111,37 +110,26 @@ std::string StatuszText() {
                       span.path.c_str(), open_s);
   }
 
-  text += "\nheartbeats:\n";
-  const std::vector<HeartbeatStatus> heartbeats = LiveHeartbeats();
-  if (heartbeats.empty()) text += "  (none)\n";
-  for (const HeartbeatStatus& hb : heartbeats) {
-    text += StrFormat("  %s: %llu", hb.label.c_str(),
-                      static_cast<unsigned long long>(hb.done));
-    if (hb.total > 0) {
-      text += StrFormat("/%llu (%.1f%%)",
-                        static_cast<unsigned long long>(hb.total),
-                        100.0 * static_cast<double>(hb.done) /
-                            static_cast<double>(hb.total));
-    }
-    text += StrFormat(", %.0f/s", hb.rate_per_s);
-    if (hb.total > hb.done && hb.rate_per_s > 0.0) {
-      text += StrFormat(", ETA %.1f s", hb.eta_s);
-    }
-    if (hb.finished) text += " [finished]";
-    text += '\n';
-  }
-
   text += "\nestimators:\n";
   const std::vector<ConvergenceSnapshot> estimators =
       LiveConvergenceSnapshots();
   if (estimators.empty()) text += "  (none)\n";
   for (const ConvergenceSnapshot& est : estimators) {
     text += StrFormat(
-        "  %s: n=%llu mean=%.6g ci_halfwidth=%.3g rel_err=%.3g %.0f/s%s\n",
+        "  %s: n=%llu mean=%.6g ci_halfwidth=%.3g rel_err=%.3g %.0f/s",
         est.label.c_str(), static_cast<unsigned long long>(est.samples),
-        est.mean, est.ci_halfwidth, est.rel_err, est.rate_per_s,
-        est.finished ? (est.stopped_early ? " [stopped early]" : " [done]")
-                     : "");
+        est.mean, est.ci_halfwidth, est.rel_err, est.rate_per_s);
+    if (est.total > 0) {
+      text += StrFormat(", %llu/%llu (%.1f%%)",
+                        static_cast<unsigned long long>(est.samples),
+                        static_cast<unsigned long long>(est.total),
+                        100.0 * static_cast<double>(est.samples) /
+                            static_cast<double>(est.total));
+    }
+    if (est.eta_s > 0.0) text += StrFormat(", ETA %.1f s", est.eta_s);
+    text += est.finished ? (est.stopped_early ? " [stopped early]\n"
+                                              : " [done]\n")
+                         : "\n";
   }
 
   text += "\nparallel regions:\n";

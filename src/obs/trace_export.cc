@@ -29,8 +29,8 @@ std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
   TraceExportStats stats;
 
   // Pass 1: wall-to-monotonic offset (µs) from the first span carrying
-  // both clocks, so wall-only records (snapshots, progress) land on the
-  // same timeline as the monotonic span timestamps.
+  // both clocks, so wall-only records (snapshots, estimator progress)
+  // land on the same timeline as the monotonic span timestamps.
   double wall_offset_us = 0.0;
   bool have_offset = false;
   std::string manifest_line;
@@ -108,16 +108,16 @@ std::string ChromeTraceFromJsonlLines(const std::vector<std::string>& lines,
           "\"ts\":%.3f,\"pid\":1,\"tid\":0,\"s\":\"p\"}",
           JsonEscape(label.value_or("")).c_str(),
           wall_to_ts(wall.value_or(0.0))));
-    } else if (*type == "progress") {
+    } else if (*type == "estimator_progress") {
       ++stats.progress;
       const auto label = JsonlStringField(line, "label");
       const auto wall = JsonlNumberField(line, "t_ms");
-      const auto done = JsonlNumberField(line, "done");
+      const auto samples = JsonlNumberField(line, "samples");
       append_event(StrFormat(
           "{\"name\":\"%s\",\"cat\":\"progress\",\"ph\":\"C\",\"ts\":%.3f,"
-          "\"pid\":1,\"args\":{\"done\":%.0f}}",
+          "\"pid\":1,\"args\":{\"samples\":%.0f}}",
           JsonEscape(label.value_or("")).c_str(),
-          wall_to_ts(wall.value_or(0.0)), done.value_or(0.0)));
+          wall_to_ts(wall.value_or(0.0)), samples.value_or(0.0)));
     } else if (*type == "manifest") {
       stats.saw_manifest = true;
     }

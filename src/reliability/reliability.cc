@@ -14,32 +14,7 @@
 namespace chameleon::rel {
 namespace {
 
-/// Normal quantile for the 95% confidence intervals every estimator
-/// reports (matches ConvergenceOptions' default).
-constexpr double kZ95 = 1.96;
-
-bool HasStoppingRule(const MonteCarloOptions& options) {
-  return options.target_ci_halfwidth > 0.0 || options.max_rel_err > 0.0;
-}
-
-/// A convergence tracker is constructed when a stopping rule needs one or
-/// when observability is live (estimator_progress telemetry); a dormant
-/// fixed-count run skips the per-world tracker work entirely.
-std::optional<obs::ConvergenceTracker> MaybeMakeTracker(
-    std::string_view label, const MonteCarloOptions& options, bool bernoulli,
-    bool with_stopping_rules) {
-  if (!HasStoppingRule(options) && !obs::Enabled()) return std::nullopt;
-  obs::ConvergenceOptions tracker_options;
-  if (with_stopping_rules) {
-    tracker_options.target_ci_halfwidth = options.target_ci_halfwidth;
-    tracker_options.max_rel_err = options.max_rel_err;
-  }
-  tracker_options.min_samples = options.min_samples;
-  tracker_options.z = kZ95;
-  tracker_options.bernoulli = bernoulli;
-  tracker_options.min_emit_interval_nanos = obs::HeartbeatIntervalNanos();
-  return std::make_optional<obs::ConvergenceTracker>(label, tracker_options);
-}
+using obs::kConfidenceZ;
 
 Status ValidateTerminals(const graph::UncertainGraph& graph, NodeId source,
                          NodeId target) {
@@ -55,17 +30,75 @@ Status ValidateOptions(const MonteCarloOptions& options) {
   if (options.worlds == 0) {
     return Status::InvalidArgument("worlds must be positive");
   }
-  return Status::OK();
+  CHAMELEON_RETURN_IF_ERROR(obs::ValidateStoppingTarget(
+      "target_ci_halfwidth", options.target_ci_halfwidth));
+  return obs::ValidateStoppingTarget("max_rel_err", options.max_rel_err);
 }
 
-/// Applies a sampled world mask to the union-find structure.
-void UniteWorld(const graph::UncertainGraph& graph, const BitVector& mask,
-                graph::UnionFind& dsu) {
-  dsu.Reset();
-  const auto& edges = graph.edges();
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (mask.Get(e)) dsu.Union(edges[e].u, edges[e].v);
+struct WorldLoopResult {
+  std::size_t worlds = 0;
+  bool stopped_early = false;
+};
+
+/// The world loop every estimator shares, inside the caller's span:
+/// sample a world, unite its edges, let `statistic(dsu)` read it and
+/// return the tracker's sample (nullopt: none; 0/1 when `bernoulli`), and
+/// stop once `stop(sampled, tracker)` says so — asked only while a
+/// stopping rule is set and worlds remain. The tracker `label` reports
+/// the loop's progress; it exists only when a stopping rule or live
+/// observability needs it, so a dormant fixed-count run skips its work.
+template <typename Statistic, typename StopTest>
+WorldLoopResult RunWorldLoop(const graph::UncertainGraph& graph,
+                             const MonteCarloOptions& options,
+                             const char* label, bool bernoulli, Rng& rng,
+                             Statistic statistic, StopTest stop) {
+  const WorldSampler sampler(graph);
+  graph::UnionFind dsu(graph.num_nodes());
+  BitVector mask(graph.num_edges());
+  const bool adaptive =
+      options.target_ci_halfwidth > 0.0 || options.max_rel_err > 0.0;
+  std::optional<obs::ConvergenceTracker> tracker;
+  if (adaptive || obs::Enabled()) {
+    tracker.emplace(label,
+                    obs::ConvergenceOptions{
+                        .target_ci_halfwidth = options.target_ci_halfwidth,
+                        .max_rel_err = options.max_rel_err,
+                        .min_samples = options.min_samples,
+                        .bernoulli = bernoulli,
+                        .total = options.worlds,
+                        .log = options.heartbeat});
   }
+
+  WorldLoopResult result;
+  {
+    CHOBS_SPAN(loop_span, "sample_worlds");
+    const auto& edges = graph.edges();
+    for (std::size_t w = 0; w < options.worlds; ++w) {
+      sampler.SampleMask(rng, mask);
+      dsu.Reset();
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        if (mask.Get(e)) dsu.Union(edges[e].u, edges[e].v);
+      }
+      const std::optional<double> x = statistic(dsu);
+      result.worlds = w + 1;
+      if (!tracker.has_value()) continue;
+      if (x.has_value()) tracker->Add(*x);
+      if (adaptive && result.worlds < options.worlds &&
+          stop(result.worlds, *tracker)) {
+        result.stopped_early = true;
+        break;
+      }
+    }
+    loop_span.AddCount("worlds", result.worlds);
+  }
+  if (tracker.has_value()) tracker->Finish(result.stopped_early);
+  return result;
+}
+
+/// The stop test of estimators whose tracker sample is the estimate's.
+bool TrackerConverged(std::size_t /*sampled*/,
+                      const obs::ConvergenceTracker& tracker) {
+  return tracker.ShouldStop();
 }
 
 }  // namespace
@@ -77,55 +110,25 @@ Result<ReliabilityEstimate> EstimateTwoTerminalReliability(
   CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
 
   CHOBS_SPAN(span, "reliability/two_terminal");
-  const WorldSampler sampler(graph);
-  graph::UnionFind dsu(graph.num_nodes());
-  BitVector mask(graph.num_edges());
-  obs::ProgressHeartbeat progress(
-      "reliability/two_terminal/sample_worlds",
-      options.heartbeat ? options.worlds : 0,
-      obs::ProgressHeartbeat::Options{
-          .min_interval_nanos = obs::HeartbeatIntervalNanos(),
-          .log = options.heartbeat,
-          .sink = nullptr,
-          .use_global_sink = options.heartbeat});
-  std::optional<obs::ConvergenceTracker> tracker =
-      MaybeMakeTracker("reliability/two_terminal", options,
-                       /*bernoulli=*/true, /*with_stopping_rules=*/true);
-  const bool adaptive = HasStoppingRule(options);
-
   std::size_t hits = 0;
-  std::size_t sampled = 0;
-  bool stopped_early = false;
-  {
-    CHOBS_SPAN(loop_span, "sample_worlds");
-    for (std::size_t w = 0; w < options.worlds; ++w) {
-      sampler.SampleMask(rng, mask);
-      UniteWorld(graph, mask, dsu);
-      const bool connected = dsu.Connected(source, target);
-      if (connected) ++hits;
-      sampled = w + 1;
-      progress.Tick(sampled, hits, sampled);
-      if (tracker.has_value()) {
-        tracker->AddBernoulli(connected);
-        if (adaptive && sampled < options.worlds && tracker->ShouldStop()) {
-          stopped_early = true;
-          break;
-        }
-      }
-    }
-    loop_span.AddCount("worlds", sampled);
-    loop_span.AddCount("hits", hits);
-  }
-  progress.Finish();
-  if (tracker.has_value()) tracker->Finish(stopped_early);
+  const WorldLoopResult loop = RunWorldLoop(
+      graph, options, "reliability/two_terminal", /*bernoulli=*/true, rng,
+      [&](graph::UnionFind& dsu) -> std::optional<double> {
+        const bool connected = dsu.Connected(source, target);
+        hits += connected;
+        return connected ? 1.0 : 0.0;
+      },
+      TrackerConverged);
 
   ReliabilityEstimate estimate;
   estimate.reliability =
-      static_cast<double>(hits) / static_cast<double>(sampled);
-  estimate.worlds = sampled;
-  estimate.ci_halfwidth = obs::WilsonCiHalfwidth(hits, sampled, kZ95);
-  estimate.stopped_early = stopped_early;
-  span.AddCount("worlds", sampled);
+      static_cast<double>(hits) / static_cast<double>(loop.worlds);
+  estimate.worlds = loop.worlds;
+  estimate.ci_halfwidth = obs::WilsonCiHalfwidth(hits, loop.worlds,
+                                                 kConfidenceZ);
+  estimate.stopped_early = loop.stopped_early;
+  span.AddCount("worlds", loop.worlds);
+  span.AddCount("hits", hits);
   CHOBS_COUNT("reliability/two_terminal/estimates", 1);
   return estimate;
 }
@@ -151,91 +154,55 @@ Result<PairSetEstimate> EstimatePairSetReliability(
 
   CHOBS_SPAN(span, "reliability/pair_set");
   span.AddCount("pairs", pairs.size());
-  const WorldSampler sampler(graph);
-  graph::UnionFind dsu(graph.num_nodes());
-  BitVector mask(graph.num_edges());
   std::vector<std::size_t> hits(pairs.size(), 0);
-  obs::ProgressHeartbeat progress(
-      "reliability/pair_set/sample_worlds",
-      options.heartbeat ? options.worlds : 0,
-      obs::ProgressHeartbeat::Options{
-          .min_interval_nanos = obs::HeartbeatIntervalNanos(),
-          .log = options.heartbeat,
-          .sink = nullptr,
-          .use_global_sink = options.heartbeat});
-  // The tracker follows the per-world fraction of connected pairs
-  // (telemetry); stopping is decided below against the *widest* per-pair
-  // Wilson interval so the precision guarantee holds for every pair.
-  std::optional<obs::ConvergenceTracker> tracker =
-      MaybeMakeTracker("reliability/pair_set", options,
-                       /*bernoulli=*/false, /*with_stopping_rules=*/false);
-  const bool adaptive = HasStoppingRule(options) && !pairs.empty();
   // Per-pair Wilson widths cost O(pairs) to evaluate; amortize the check.
   constexpr std::size_t kStopCheckStride = 16;
 
   const auto all_pairs_converged = [&](std::size_t n) {
-    for (const std::size_t pair_hits : hits) {
-      const double hw = obs::WilsonCiHalfwidth(pair_hits, n, kZ95);
-      if (options.target_ci_halfwidth > 0.0 &&
-          hw <= options.target_ci_halfwidth) {
-        continue;
-      }
-      const double mean =
-          static_cast<double>(pair_hits) / static_cast<double>(n);
-      if (options.max_rel_err > 0.0 && mean > 0.0 &&
-          hw <= options.max_rel_err * mean) {
-        continue;
-      }
-      return false;
-    }
-    return true;
+    return std::all_of(hits.begin(), hits.end(), [&](std::size_t pair_hits) {
+      return obs::MeetsStoppingRule(
+          obs::WilsonCiHalfwidth(pair_hits, n, kConfidenceZ),
+          static_cast<double>(pair_hits) / static_cast<double>(n),
+          options.target_ci_halfwidth, options.max_rel_err);
+    });
   };
 
-  std::size_t sampled = 0;
-  bool stopped_early = false;
-  {
-    // Reused sampling: one world serves every pair (Lemma 3's cost
-    // argument) — the loop is worlds-major, pairs-minor.
-    CHOBS_SPAN(loop_span, "sample_worlds");
-    for (std::size_t w = 0; w < options.worlds; ++w) {
-      sampler.SampleMask(rng, mask);
-      UniteWorld(graph, mask, dsu);
-      std::size_t connected = 0;
-      for (std::size_t i = 0; i < pairs.size(); ++i) {
-        if (dsu.Connected(pairs[i].first, pairs[i].second)) {
-          ++hits[i];
-          ++connected;
+  // Reused sampling: one world serves every pair (Lemma 3's cost
+  // argument) — the loop is worlds-major, pairs-minor. The tracker
+  // follows the per-world fraction of connected pairs (telemetry);
+  // stopping is decided against the *widest* per-pair Wilson interval so
+  // the precision guarantee holds for every pair.
+  const WorldLoopResult loop = RunWorldLoop(
+      graph, options, "reliability/pair_set", /*bernoulli=*/false, rng,
+      [&](graph::UnionFind& dsu) -> std::optional<double> {
+        std::size_t connected = 0;
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+          if (dsu.Connected(pairs[i].first, pairs[i].second)) {
+            ++hits[i];
+            ++connected;
+          }
         }
-      }
-      sampled = w + 1;
-      progress.Tick(sampled);
-      if (tracker.has_value() && !pairs.empty()) {
-        tracker->Add(static_cast<double>(connected) /
-                     static_cast<double>(pairs.size()));
-      }
-      if (adaptive && sampled >= options.min_samples &&
-          sampled < options.worlds && sampled % kStopCheckStride == 0 &&
-          all_pairs_converged(sampled)) {
-        stopped_early = true;
-        break;
-      }
-    }
-    loop_span.AddCount("worlds", sampled);
-  }
-  progress.Finish();
-  if (tracker.has_value()) tracker->Finish(stopped_early);
+        if (pairs.empty()) return std::nullopt;
+        return static_cast<double>(connected) /
+               static_cast<double>(pairs.size());
+      },
+      [&](std::size_t sampled, const obs::ConvergenceTracker& /*tracker*/) {
+        return !pairs.empty() && sampled >= options.min_samples &&
+               sampled % kStopCheckStride == 0 &&
+               all_pairs_converged(sampled);
+      });
 
   PairSetEstimate estimate;
   estimate.reliability.assign(pairs.size(), 0.0);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     estimate.reliability[i] =
-        static_cast<double>(hits[i]) / static_cast<double>(sampled);
+        static_cast<double>(hits[i]) / static_cast<double>(loop.worlds);
     estimate.max_ci_halfwidth =
         std::max(estimate.max_ci_halfwidth,
-                 obs::WilsonCiHalfwidth(hits[i], sampled, kZ95));
+                 obs::WilsonCiHalfwidth(hits[i], loop.worlds, kConfidenceZ));
   }
-  estimate.worlds = sampled;
-  estimate.stopped_early = stopped_early;
+  estimate.worlds = loop.worlds;
+  estimate.stopped_early = loop.stopped_early;
   CHOBS_COUNT("reliability/pair_set/estimates", 1);
   return estimate;
 }
@@ -256,56 +223,25 @@ Result<ConnectedPairsEstimate> ExpectedConnectedPairs(
   CHAMELEON_RETURN_IF_ERROR(ValidateOptions(options));
 
   CHOBS_SPAN(span, "reliability/connected_pairs");
-  const WorldSampler sampler(graph);
-  graph::UnionFind dsu(graph.num_nodes());
-  BitVector mask(graph.num_edges());
   RunningStats stats;
-  obs::ProgressHeartbeat progress(
-      "reliability/connected_pairs/sample_worlds",
-      options.heartbeat ? options.worlds : 0,
-      obs::ProgressHeartbeat::Options{
-          .min_interval_nanos = obs::HeartbeatIntervalNanos(),
-          .log = options.heartbeat,
-          .sink = nullptr,
-          .use_global_sink = options.heartbeat});
-
-  std::optional<obs::ConvergenceTracker> tracker =
-      MaybeMakeTracker("reliability/connected_pairs", options,
-                       /*bernoulli=*/false, /*with_stopping_rules=*/true);
-  const bool adaptive = HasStoppingRule(options);
-
-  std::size_t sampled = 0;
-  bool stopped_early = false;
-  {
-    CHOBS_SPAN(loop_span, "sample_worlds");
-    for (std::size_t w = 0; w < options.worlds; ++w) {
-      sampler.SampleMask(rng, mask);
-      UniteWorld(graph, mask, dsu);
-      const double connected = static_cast<double>(dsu.ConnectedPairs());
-      stats.Add(connected);
-      sampled = w + 1;
-      progress.Tick(sampled);
-      if (tracker.has_value()) {
-        tracker->Add(connected);
-        if (adaptive && sampled < options.worlds && tracker->ShouldStop()) {
-          stopped_early = true;
-          break;
-        }
-      }
-    }
-    loop_span.AddCount("worlds", sampled);
-  }
-  progress.Finish();
-  if (tracker.has_value()) tracker->Finish(stopped_early);
+  const WorldLoopResult loop = RunWorldLoop(
+      graph, options, "reliability/connected_pairs", /*bernoulli=*/false,
+      rng,
+      [&](graph::UnionFind& dsu) -> std::optional<double> {
+        const double connected = static_cast<double>(dsu.ConnectedPairs());
+        stats.Add(connected);
+        return connected;
+      },
+      TrackerConverged);
 
   ConnectedPairsEstimate estimate;
   estimate.expected_pairs = stats.mean();
   estimate.stddev = stats.stddev();
-  estimate.worlds = sampled;
+  estimate.worlds = loop.worlds;
   estimate.ci_halfwidth =
-      obs::NormalCiHalfwidth(stats.variance(), sampled, kZ95);
-  estimate.stopped_early = stopped_early;
-  span.AddCount("worlds", sampled);
+      obs::NormalCiHalfwidth(stats.variance(), loop.worlds, kConfidenceZ);
+  estimate.stopped_early = loop.stopped_early;
+  span.AddCount("worlds", loop.worlds);
   CHOBS_COUNT("reliability/connected_pairs/estimates", 1);
   return estimate;
 }

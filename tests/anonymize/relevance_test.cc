@@ -204,5 +204,17 @@ TEST(RelevanceTest, ZeroWorldsIsInvalidArgument) {
   EXPECT_FALSE(EstimateRelevance(g, options).ok());
 }
 
+TEST(RelevanceTest, NegativeOrNonFiniteMaxRelErrIsInvalidArgument) {
+  // Each of these used to switch early stopping off without a word.
+  const UncertainGraph g = MakeCycle12();
+  for (const double bad : {-0.1, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    RelevanceOptions options;
+    options.max_rel_err = bad;
+    EXPECT_EQ(EstimateRelevance(g, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace chameleon::anonymize

@@ -88,13 +88,15 @@ TEST(JsonlFieldTest, TruncatedLinesReadAsAbsent) {
 }
 
 TEST(RecordTypesTest, ListsEachWriterTypeOnce) {
-  EXPECT_EQ(kRecordTypes.size(), 23u);
+  EXPECT_EQ(kRecordTypes.size(), 22u);
   for (const std::string_view type : kRecordTypes) {
     EXPECT_TRUE(IsKnownRecordType(type)) << type;
     EXPECT_EQ(std::count(kRecordTypes.begin(), kRecordTypes.end(), type), 1)
         << type;
   }
   EXPECT_FALSE(IsKnownRecordType("quantum_flux"));
+  // Retired: estimator_progress carries a loop's progress.
+  EXPECT_FALSE(IsKnownRecordType("progress"));
   EXPECT_FALSE(IsKnownRecordType(""));
   EXPECT_FALSE(IsKnownRecordType("span "));
 }

@@ -184,8 +184,8 @@ std::vector<std::string> SampleJsonl() {
       R"({"type":"span","path":"solve","tid":2,"t_ms":1001,)"
       R"("mono_ns":8000000,"dur_ns":2000000})",
       R"({"type":"snapshot","label":"load","t_ms":1001,"metrics":{}})",
-      R"({"type":"progress","label":"worlds","t_ms":1002,"done":500,)"
-      R"("total":1000})",
+      R"({"type":"estimator_progress","label":"worlds","t_ms":1002,)"
+      R"("samples":500,"total":1000})",
       R"({"type":"run_summary","t_ms":1003,"wall_ms":3.0,"metrics":{}})",
   };
 }

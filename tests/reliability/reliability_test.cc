@@ -1,5 +1,6 @@
 #include "chameleon/reliability/reliability.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -220,6 +221,27 @@ TEST(ExpectedConnectedPairsTest, CertainGraphHasZeroVariance) {
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->expected_pairs, 3.0);
   EXPECT_DOUBLE_EQ(r->stddev, 0.0);
+}
+
+TEST(StoppingRuleTest, NegativeOrNonFiniteTargetIsInvalidArgument) {
+  // Each of these used to switch early stopping off without a word.
+  const UncertainGraph g = MakePath3();
+  for (const double bad : {-3.0, std::nan(""), HUGE_VAL}) {
+    for (const bool relative : {false, true}) {
+      SCOPED_TRACE(testing::Message() << bad << (relative ? " rel" : " hw"));
+      MonteCarloOptions options = QuietOptions(100);
+      (relative ? options.max_rel_err : options.target_ci_halfwidth) = bad;
+      Rng rng(1);
+      const auto two_terminal =
+          EstimateTwoTerminalReliability(g, 0, 2, options, rng);
+      EXPECT_EQ(two_terminal.status().code(), StatusCode::kInvalidArgument);
+      const auto pair_set = EstimatePairSetReliability(g, {{0, 2}}, options,
+                                                       rng);
+      EXPECT_EQ(pair_set.status().code(), StatusCode::kInvalidArgument);
+      const auto pairs = ExpectedConnectedPairs(g, options, rng);
+      EXPECT_EQ(pairs.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,6 +154,43 @@ TEST(CliTest, UnknownFlagIsAUsageError) {
     EXPECT_NE(run.stderr_text.find("error:"), std::string::npos)
         << run.stderr_text;
   }
+}
+
+TEST(CliTest, NegativeCountIsAUsageError) {
+  // Each of these used to wrap to 2^64 when cast to std::size_t: a run
+  // until killed, a bad_alloc abort, or a silently ignored rule. The
+  // timeout bounds the old hang; the check now stops them at the door.
+  const std::string graph_path = testing::TempDir() + "/cli_neg.edges";
+  Rng rng(7);
+  const Result<graph::UncertainGraph> graph =
+      graph::RandomUncertainGraph(200, 4.0, 0.1, 0.9, rng);
+  ASSERT_TRUE(graph.ok());
+  ASSERT_TRUE(graph::WriteEdgeList(*graph, graph_path).ok());
+  const std::string anonymize = std::string(ANONYMIZE_BIN) +
+                                " --graph=" + graph_path +
+                                " --k=20 --eps=0.01";
+  const std::string mc = std::string(MC_RELIABILITY_BIN) + " --nodes=20";
+  const std::string scaling =
+      std::string(SCALING_BIN) + " --workload=mc_reliability --reps=1";
+  const std::pair<std::string, std::string> cases[] = {
+      {mc, "--worlds=-5"},         {mc, "--nodes=-5"},
+      {mc, "--min_samples=-1"},    {anonymize, "--err_worlds=-1"},
+      {anonymize, "--trials=-1"},  {anonymize, "--refine=-1"},
+      {scaling, "--nodes=-5"},     {scaling, "--mc_worlds=-1"},
+  };
+  for (const auto& [command, flag] : cases) {
+    SCOPED_TRACE(command + " " + flag);
+    const RunResult run = RunCommand("timeout 10 " + command + " " + flag);
+    EXPECT_EQ(run.exit_code, 2);
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(run.stderr_text.find("error: InvalidArgument: " + name +
+                                   " must be >= 0"),
+              std::string::npos)
+        << run.stderr_text;
+    EXPECT_NE(run.stderr_text.find("  " + name + " "), std::string::npos)
+        << "no usage table in:\n" << run.stderr_text;
+  }
+  std::remove(graph_path.c_str());
 }
 
 /// True when every line of a folded-stacks file is "<frames> <count>"

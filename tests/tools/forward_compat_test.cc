@@ -282,10 +282,6 @@ const std::vector<KnownRecord>& KnownRecords() {
       {"snapshot",
        R"({"type":"snapshot","label":"s","t_ms":1,"metrics":{}})",
        "1 snapshots", nullptr},
-      {"progress",
-       R"({"type":"progress","label":"work","t_ms":1,"done":5,)"
-       R"("total":10,"rate_per_s":2,"eta_s":2.5})",
-       "1 progress", "[work] 5/10 (50.0%)"},
       {"estimator_progress",
        R"({"type":"estimator_progress","label":"est","t_ms":1,)"
        R"("samples":100,"mean":0.5,"stddev":0.1,"ci_halfwidth":0.01,)"

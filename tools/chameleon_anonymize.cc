@@ -121,7 +121,8 @@ int Run(int argc, char** argv) {
   flags.AddString("result", "", "write the result JSON here");
   cli::AddRunFlags(flags);
   if (const std::optional<int> exit_code =
-          cli::ParseCommandLine(flags, "chameleon_anonymize", argc, argv)) {
+          cli::ParseCommandLine(flags, "chameleon_anonymize", argc, argv,
+                                {"trials", "err_worlds", "refine"})) {
     return *exit_code;
   }
 

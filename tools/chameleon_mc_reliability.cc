@@ -57,7 +57,8 @@ int Run(int argc, char** argv) {
                 "also estimate E[#connected pairs]");
   cli::AddRunFlags(flags);
   if (const std::optional<int> exit_code = cli::ParseCommandLine(
-          flags, "chameleon_mc_reliability", argc, argv)) {
+          flags, "chameleon_mc_reliability", argc, argv,
+          {"nodes", "worlds", "min_samples"})) {
     return *exit_code;
   }
 

@@ -643,10 +643,9 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
       estimator_records += row.records;
     }
     std::printf("\nrun wall time: %.3f ms  (%llu spans, %zu snapshots, "
-                "%zu progress, %zu estimator records)\n",
+                "%zu estimator records)\n",
                 run_wall_ms, static_cast<unsigned long long>(span_records),
-                dump.Lines("snapshot").size(), dump.Lines("progress").size(),
-                estimator_records);
+                dump.Lines("snapshot").size(), estimator_records);
   }
 }
 

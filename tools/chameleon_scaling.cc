@@ -266,7 +266,8 @@ int Run(int argc, char** argv) {
                 "bandwidth-saturation verdict; degrades to a "
                 "hw_counters_unavailable note when the kernel refuses");
   if (const std::optional<int> exit_code =
-          cli::ParseCommandLine(flags, "chameleon_scaling", argc, argv)) {
+          cli::ParseCommandLine(flags, "chameleon_scaling", argc, argv,
+                                {"nodes", "mc_worlds"})) {
     return *exit_code;
   }
 

@@ -5,9 +5,9 @@
 //   chameleon_trace_export run.jsonl run.trace.json
 //
 // Spans become "X" complete events on the monotonic timeline (one track
-// per thread), snapshots become instant markers, progress heartbeats
-// become counter tracks, and the run manifest names the process and lands
-// in the trace's otherData.
+// per thread), snapshots become instant markers, estimator progress
+// records become counter tracks, and the run manifest names the process
+// and lands in the trace's otherData.
 
 #include <cstdio>
 #include <optional>

@@ -1,11 +1,10 @@
 // Tails a chameleon metrics JSONL stream and renders live progress: one
-// line per heartbeat / estimator-convergence record, ending with the run
-// summary. Point it at the file a long Monte Carlo run is writing:
+// line per estimator progress record, ending with the run summary. Point
+// it at the file a long Monte Carlo run is writing:
 //
 //   chameleon_mc_reliability --worlds=100000000 --metrics_out=run.jsonl &
 //   chameleon_watch run.jsonl
-//   [reliability/two_terminal/sample_worlds] 1534000/100000000 (1.5%) 3.1e+06/s ETA 31.7s
-//   [reliability/two_terminal] n=2097152 mean=0.2513 ci_halfwidth=0.000587 (1.3e+06/s)
+//   [reliability/two_terminal] n=2097152 mean=0.2513 ci_halfwidth=0.000587 (1.3e+06/s) 2097152/100000000 (2.1%) ETA 75.3s
 //   ...
 //   run finished: wall 32188.4 ms
 //
@@ -70,25 +69,6 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
     return StrFormat("watching %s (%s)\n", tool.value_or("?").c_str(),
                      describe.value_or("unknown build").c_str());
   }
-  if (*type == "progress") {
-    const auto label = obs::JsonlStringField(line, "label");
-    const double done = obs::JsonlNumberField(line, "done").value_or(0.0);
-    const double total = obs::JsonlNumberField(line, "total").value_or(0.0);
-    const double rate =
-        obs::JsonlNumberField(line, "rate_per_s").value_or(0.0);
-    const double eta = obs::JsonlNumberField(line, "eta_s").value_or(0.0);
-    std::string text = StrFormat("[%s] %.0f", label.value_or("?").c_str(),
-                                 done);
-    if (total > 0.0) {
-      text += StrFormat("/%.0f (%.1f%%)", total, 100.0 * done / total);
-    }
-    text += StrFormat(" %.3g/s", rate);
-    if (total > done && rate > 0.0) text += StrFormat(" ETA %.1fs", eta);
-    if (Flag(line, "final")) {
-      text += " [finished]";
-    }
-    return text + "\n";
-  }
   if (*type == "estimator_progress") {
     const auto label = obs::JsonlStringField(line, "label");
     const double samples =
@@ -98,9 +78,16 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
         obs::JsonlNumberField(line, "ci_halfwidth").value_or(0.0);
     const double rate =
         obs::JsonlNumberField(line, "rate_per_s").value_or(0.0);
+    const double total = obs::JsonlNumberField(line, "total").value_or(0.0);
+    const double eta = obs::JsonlNumberField(line, "eta_s").value_or(0.0);
     std::string text =
         StrFormat("[%s] n=%.0f mean=%.6g ci_halfwidth=%.4g (%.3g/s)",
                   label.value_or("?").c_str(), samples, mean, hw, rate);
+    if (total > 0.0) {
+      text += StrFormat(" %.0f/%.0f (%.1f%%)", samples, total,
+                        100.0 * samples / total);
+    }
+    if (eta > 0.0) text += StrFormat(" ETA %.1fs", eta);
     if (Flag(line, "final")) {
       text += Flag(line, "stopped_early") ? " [stopped early]" : " [done]";
     }

@@ -9,6 +9,7 @@
 #include "chameleon/obs/profiler.h"
 #include "chameleon/obs/status_server.h"
 #include "chameleon/obs/watchdog.h"
+#include "chameleon/util/string_util.h"
 
 namespace chameleon::cli {
 namespace {
@@ -33,11 +34,20 @@ void WarnIfFailed(const Status& status, const char* what) {
 
 }  // namespace
 
-std::optional<int> ParseCommandLine(FlagSet& flags, std::string_view tool,
-                                    int argc, char** argv) {
+std::optional<int> ParseCommandLine(
+    FlagSet& flags, std::string_view tool, int argc, char** argv,
+    std::initializer_list<std::string_view> count_flags) {
   flags.AddBool("version", false, "print build provenance and exit");
   flags.AddBool("help", false, "show usage");
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
+  Status s = flags.Parse(argc - 1, argv + 1);
+  for (const std::string_view name : count_flags) {
+    if (s.ok() && flags.GetInt64(name) < 0) {
+      s = Status::InvalidArgument(StrFormat(
+          "--%.*s must be >= 0 (got %lld)", static_cast<int>(name.size()),
+          name.data(), static_cast<long long>(flags.GetInt64(name))));
+    }
+  }
+  if (!s.ok()) {
     std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
                  flags.Usage().c_str());
     return 2;

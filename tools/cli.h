@@ -2,6 +2,7 @@
 #define CHAMELEON_TOOLS_CLI_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,11 +31,13 @@ namespace chameleon::cli {
 
 /// Registers --help and --version, then parses argv[1..argc). Returns the
 /// exit code when the process should stop here: 2 after printing
-/// "error: ..." and the usage on a parse error, 0 after printing the
-/// usage (--help) or `obs::VersionString(tool)` (--version). nullopt
-/// means carry on.
-std::optional<int> ParseCommandLine(FlagSet& flags, std::string_view tool,
-                                    int argc, char** argv);
+/// "error: ..." and the usage on a parse error or a negative value of
+/// one of the int64 `count_flags` (sizes and counts the tool casts to
+/// std::size_t), 0 after printing the usage (--help) or
+/// `obs::VersionString(tool)` (--version). nullopt means carry on.
+std::optional<int> ParseCommandLine(
+    FlagSet& flags, std::string_view tool, int argc, char** argv,
+    std::initializer_list<std::string_view> count_flags = {});
 
 /// The string flag `name`, or the first positional argument when that
 /// flag is empty ("" when neither is given).
