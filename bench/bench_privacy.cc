@@ -5,7 +5,7 @@
 //
 // Covers the three layers of the privacy subsystem on fixed-seed graphs:
 // the O(d²) Poisson-binomial PMF build, the O(d) incremental
-// update/downdate the search loop leans on, the O(n²) uniqueness sweep,
+// update/downdate the search loop leans on, the binned uniqueness KDE,
 // and the full (k,ε)-obfuscation verifier serial vs 8 workers (the
 // parallel twin measures the sharded posterior sweep; on a single-core
 // runner it degenerates gracefully to contention-free oversubscription).
@@ -76,7 +76,7 @@ void BM_PoissonBinomialIncrementalD64(bench::BenchContext& context) {
 CHAMELEON_BENCHMARK(BM_PoissonBinomialIncrementalD64);
 
 // --------------------------------------------------------------------------
-// uniqueness_er_2k: the O(n²) Gaussian-kernel commonness sweep with the
+// uniqueness_er_2k: the linear-binned Gaussian-kernel commonness with the
 // Silverman bandwidth over 2k expected degrees.
 // --------------------------------------------------------------------------
 void BM_UniquenessEr2k(bench::BenchContext& context) {

@@ -6,6 +6,7 @@
 //
 //   chameleon_overhead_gate --list
 //   chameleon_overhead_gate --gate=NAME [--reps=9] [--out=BENCH_...json]
+//   chameleon_overhead_gate --help | --version
 //
 // One gate per process: the profiler and heap rows start global obs
 // state that would leak into the next row's dormant arm. Exit 0 inside
@@ -49,6 +50,7 @@
 #include "chameleon/util/parallel.h"
 #include "chameleon/util/rng.h"
 #include "chameleon/util/timer.h"
+#include "cli.h"
 #include "harness.h"
 
 namespace chameleon {
@@ -261,23 +263,14 @@ constexpr std::size_t kRegionBlock = 256;
 using BlockFn =
     std::function<void(std::size_t block, std::size_t begin, std::size_t end)>;
 
-/// Same worker clamps, atomic cursor, std::function indirection and
-/// block boundaries as ParallelForBlocks; what it lacks is exactly the
-/// telemetry hook.
+/// Same worker clamps (PlanWorkers, with the default work hint), atomic
+/// cursor, std::function indirection and block boundaries as
+/// ParallelForBlocks; what it lacks is exactly the telemetry hook.
 void BareParallelForBlocks(std::size_t n, std::size_t block_size,
                            int threads, const BlockFn& fn) {
   if (n == 0 || block_size == 0) return;
   const std::size_t blocks = NumBlocks(n, block_size);
-  std::size_t workers =
-      std::min(static_cast<std::size_t>(EffectiveThreads(threads)), blocks);
-  // Cached like the production path, so the measured delta is the
-  // telemetry branch and not the hardware_concurrency lookup.
-  static const std::size_t hw = [] {
-    const unsigned n_cpus = std::thread::hardware_concurrency();
-    return n_cpus == 0 ? std::size_t{1} : static_cast<std::size_t>(n_cpus);
-  }();
-  workers = std::min(workers, hw);
-  workers = std::min(workers, std::max<std::size_t>(1, n / 1024));
+  const std::size_t workers = PlanWorkers(n, block_size, threads).workers;
   std::atomic<std::size_t> cursor{0};
   const auto drain = [&] {
     for (std::size_t block = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -467,10 +460,9 @@ int Run(int argc, char** argv) {
   flags.AddBool("list", false, "print the gate table and exit");
   flags.AddInt64("reps", 9, "timed repetitions per arm");
   flags.AddString("out", "", "also write the arms as a BENCH_*.json suite");
-  if (Status s = flags.Parse(argc - 1, argv + 1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n%s", s.ToString().c_str(),
-                 flags.Usage().c_str());
-    return 2;
+  if (auto code = cli::ParseCommandLine(flags, "chameleon_overhead_gate",
+                                        argc, argv, {"reps"})) {
+    return *code;
   }
   if (flags.GetBool("list")) {
     for (const Gate& gate : kGates) {

@@ -121,6 +121,9 @@ struct AnonymizeResult {
   std::size_t attempts = 0;
   std::size_t perturbed_edges = 0;
   std::size_t excluded_vertices = 0;
+  /// UniquenessScores::rel_err_bound of the binned uniqueness scores
+  /// (Rep-An: of its representative instance's scores).
+  double uniqueness_rel_err_bound = 0.0;
   /// Relevance-estimator diagnostics (0 worlds for ME / Rep-An).
   std::size_t relevance_worlds = 0;
   double relevance_wall_ms = 0.0;

@@ -34,9 +34,13 @@
 /// with zero weight. The driver treats such edges as non-candidates.
 ///
 /// Determinism: every world w draws from its own splitmix-derived stream
-/// keyed by (seed, w), per-world contributions are exact integer counts
-/// accumulated per fixed-size block and merged in block order, so the
-/// result is bit-identical across worker counts.
+/// keyed by (seed, w). Per-edge contributions are exact integers (64-bit
+/// delta sums and absent counts, 128-bit delta-squared sums), so blocks
+/// merge into the total in whatever order they finish; only the
+/// floating-point per-world mass statistics merge in block order. The
+/// result is bit-identical across worker counts. The sweep tells
+/// ParallelForBlocks that each world costs O(|E|), so its few blocks per
+/// round fan out across workers.
 
 namespace chameleon::anonymize {
 

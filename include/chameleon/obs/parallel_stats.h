@@ -14,14 +14,14 @@
 /// \file parallel_stats.h
 /// Parallel-efficiency telemetry for ParallelForBlocks. Every instrumented
 /// fork-join region emits one `parallel_region` JSONL record carrying the
-/// clamp decisions (workers requested vs. spawned), the block/grain
-/// geometry, per-worker busy/idle time and blocks claimed, the imbalance
-/// ratio, the spawn+join overhead, and the realized speedup vs. the
-/// busy-time sum — so "the verifier doesn't scale" decomposes into
-/// *which* of serial fraction, load imbalance, or fan-out overhead is to
-/// blame. The instrumentation only times the existing block claims; block
-/// boundaries and merge order are untouched, so the bit-identical-across-
-/// worker-counts guarantee survives.
+/// clamp decisions (workers requested vs. spawned, and the `clamp` that
+/// bound them), the block/grain geometry, per-worker busy/idle time and
+/// blocks claimed, the imbalance ratio, the spawn+join overhead, and the
+/// realized speedup vs. the busy-time sum — so "the verifier doesn't
+/// scale" decomposes into *which* of serial fraction, load imbalance, or
+/// fan-out overhead is to blame. The instrumentation only times the
+/// existing block claims; block boundaries and merge order are untouched,
+/// so the bit-identical-across-worker-counts guarantee survives.
 ///
 /// Three consumers:
 ///  - the JSONL stream (`parallel_region` records, rendered by obs_dump /
@@ -60,6 +60,9 @@ struct ParallelRegionStats {
   std::uint64_t requested = 0;
   /// Worker count after all clamps (includes the calling thread).
   std::uint64_t workers = 0;
+  /// The binding limit, WorkerClampName(): "none", "request", "blocks",
+  /// "grain" or "hardware" (chameleon/util/parallel.h).
+  std::string_view clamp = "none";
   std::uint64_t wall_ns = 0;
   std::uint64_t spawn_ns = 0;  ///< std::thread construction, 0 when inline
   std::uint64_t join_ns = 0;   ///< caller-drained -> last worker joined
@@ -89,7 +92,8 @@ class ActiveParallelRegion {
  public:
   ActiveParallelRegion(std::string_view name, std::uint64_t items,
                        std::uint64_t block_size, std::uint64_t blocks,
-                       std::uint64_t requested, std::uint64_t workers);
+                       std::uint64_t requested, std::uint64_t workers,
+                       std::string_view clamp);
   ~ActiveParallelRegion();
   CHAMELEON_DISALLOW_COPY_AND_ASSIGN(ActiveParallelRegion);
 
@@ -107,6 +111,7 @@ class ActiveParallelRegion {
   std::uint64_t blocks_;
   std::uint64_t requested_;
   std::uint64_t workers_;
+  std::string_view clamp_;
   std::uint64_t start_ns_;
   std::atomic<std::uint64_t> blocks_done_{0};
   std::atomic<std::uint64_t> busy_ns_{0};

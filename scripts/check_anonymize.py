@@ -6,7 +6,8 @@ Usage: check_anonymize.py <result.json> --expect=feasible|infeasible
 Passes when the file is a well-formed chameleon-anonymize-v1 result
 whose feasibility matches --expect and whose fields are internally
 consistent (eps_hat = not_obfuscated / vertices, feasible implies
-eps_hat <= eps and sigma > 0, perturbation/search counters sane).
+eps_hat <= eps and sigma > 0, perturbation/search counters sane, the
+binned uniqueness scores' stated relative error bound below 1e-3).
 Exits non-zero with a diagnostic otherwise. CI runs it over every
 Table II variant on the generated er-2k graph as the anonymize smoke.
 """
@@ -19,7 +20,8 @@ REQUIRED_FIELDS = (
     "eps_hat", "not_obfuscated", "vertices", "adversary", "nodes",
     "edges", "input_mean_p", "published_mean_p", "attempts",
     "sigma_levels", "trials", "perturbed_edges", "excluded_vertices",
-    "relevance_worlds", "relevance_wall_ms", "wall_ms", "seed",
+    "uniqueness_rel_err_bound", "relevance_worlds", "relevance_wall_ms",
+    "wall_ms", "seed",
 )
 
 METHODS = ("RSME", "ME", "RS", "Rep-An")
@@ -90,6 +92,9 @@ def main() -> int:
     if result["attempts"] > result["sigma_levels"] * result["trials"]:
         return fail(f"attempts {result['attempts']} exceed "
                     f"levels*trials")
+    bound = result["uniqueness_rel_err_bound"]
+    if not 0.0 <= bound < 1e-3:
+        return fail(f"uniqueness_rel_err_bound {bound} outside [0, 1e-3)")
     if not 0 <= result["excluded_vertices"] <= vertices:
         return fail(f"excluded {result['excluded_vertices']} of {vertices}")
     # Rep-An and ME skip the relevance estimator entirely.

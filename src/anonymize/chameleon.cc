@@ -163,6 +163,7 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
   Result<privacy::UniquenessScores> uniqueness =
       privacy::ComputeUniqueness(graph, uniq_options);
   if (!uniqueness.ok()) return uniqueness.status();
+  result.uniqueness_rel_err_bound = uniqueness->rel_err_bound;
 
   // Reliability relevance ERR^e, for the variants that select by it.
   std::vector<double> relevance_err;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 
 #include "chameleon/graph/union_find.h"
 #include "chameleon/obs/convergence.h"
@@ -24,25 +26,42 @@ std::uint64_t PerWorldSeed(std::uint64_t seed, std::uint64_t world) {
   return SplitMix64(state);
 }
 
-/// Exact integer tallies for a span of worlds: per-edge delta sums,
-/// delta-squared sums (for variance), absent counts, and the per-world
-/// total-mass Welford stats. Merging is integer/Welford only, done in
-/// block order by the caller.
-struct BlockTally {
+/// Exact integer tallies over a set of worlds: per-edge delta sums,
+/// delta-squared sums (for variance) and absent counts. Integer addition
+/// is associative, so tallies merge in any order with the same result.
+struct EdgeTally {
+  explicit EdgeTally(std::size_t num_edges)
+      : delta_sum(num_edges, 0), delta_sq_sum(num_edges, 0),
+        absent(num_edges, 0) {}
+
+  void MergeFrom(const EdgeTally& other) {
+    for (std::size_t e = 0; e < delta_sum.size(); ++e) {
+      delta_sum[e] += other.delta_sum[e];
+      delta_sq_sum[e] += other.delta_sq_sum[e];
+      absent[e] += other.absent[e];
+    }
+  }
+
+  void Clear() {
+    std::fill(delta_sum.begin(), delta_sum.end(), 0);
+    std::fill(delta_sq_sum.begin(), delta_sq_sum.end(), 0);
+    std::fill(absent.begin(), absent.end(), 0);
+  }
+
   std::vector<std::uint64_t> delta_sum;
-  std::vector<double> delta_sq_sum;
+  /// A delta is below |V|²/4; up to |V| = 2^24 its square is below
+  /// 2^92, so 2^32 worlds (the absent counter's range) sum exactly.
+  std::vector<unsigned __int128> delta_sq_sum;
   std::vector<std::uint32_t> absent;
-  RunningStats world_mass;
 };
 
-/// Samples worlds [begin, end) and tallies all-edge contributions.
+/// Samples worlds [begin, end), adding all-edge contributions to `tally`
+/// and each world's total mass to `world_mass`.
 void TallyWorlds(const graph::UncertainGraph& graph,
                  const rel::WorldSampler& sampler, std::uint64_t seed,
-                 std::size_t begin, std::size_t end, BlockTally& tally) {
+                 std::size_t begin, std::size_t end, EdgeTally& tally,
+                 RunningStats& world_mass) {
   const std::size_t num_edges = graph.num_edges();
-  tally.delta_sum.assign(num_edges, 0);
-  tally.delta_sq_sum.assign(num_edges, 0.0);
-  tally.absent.assign(num_edges, 0);
   graph::UnionFind dsu(graph.num_nodes());
   BitVector mask(num_edges);
   const auto& edges = graph.edges();
@@ -64,11 +83,10 @@ void TallyWorlds(const graph::UncertainGraph& graph,
           std::uint64_t{dsu.ComponentSize(edges[e].u)} *
           dsu.ComponentSize(edges[e].v);
       tally.delta_sum[e] += delta;
-      tally.delta_sq_sum[e] +=
-          static_cast<double>(delta) * static_cast<double>(delta);
+      tally.delta_sq_sum[e] += static_cast<unsigned __int128>(delta) * delta;
       mass += delta;
     }
-    tally.world_mass.Add(static_cast<double>(mass));
+    world_mass.Add(static_cast<double>(mass));
   }
 }
 
@@ -95,7 +113,8 @@ void EmitRelevanceProgress(std::size_t worlds, std::size_t total_worlds,
 }
 
 /// Finalizes the float view of the accumulated integer tallies.
-void FinalizeEstimates(const BlockTally& total, EdgeRelevance& out) {
+void FinalizeEstimates(const EdgeTally& total, const RunningStats& world_mass,
+                       EdgeRelevance& out) {
   const std::size_t num_edges = total.delta_sum.size();
   double err_sum = 0.0;
   out.max_err = 0.0;
@@ -109,8 +128,8 @@ void FinalizeEstimates(const BlockTally& total, EdgeRelevance& out) {
     const double mean = static_cast<double>(total.delta_sum[e]) / n;
     out.err[e] = mean;
     if (n >= 2) {
-      const double var =
-          std::max(0.0, (total.delta_sq_sum[e] - n * mean * mean) / (n - 1));
+      const double sq_sum = static_cast<double>(total.delta_sq_sum[e]);
+      const double var = std::max(0.0, (sq_sum - n * mean * mean) / (n - 1));
       out.err_variance[e] = var / n;
     } else {
       out.err_variance[e] = 0.0;
@@ -120,7 +139,7 @@ void FinalizeEstimates(const BlockTally& total, EdgeRelevance& out) {
   }
   out.mean_err =
       num_edges == 0 ? 0.0 : err_sum / static_cast<double>(num_edges);
-  out.mean_world_mass = total.world_mass.mean();
+  out.mean_world_mass = world_mass.mean();
 }
 
 Status ValidateOptions(const RelevanceOptions& options) {
@@ -155,53 +174,70 @@ Result<EdgeRelevance> EstimateRelevance(const graph::UncertainGraph& graph,
   out.err_variance.assign(num_edges, 0.0);
   out.absent_worlds.assign(num_edges, 0);
 
-  BlockTally total;
-  total.delta_sum.assign(num_edges, 0);
-  total.delta_sq_sum.assign(num_edges, 0.0);
-  total.absent.assign(num_edges, 0);
+  EdgeTally total(num_edges);
+  RunningStats world_mass;
 
   // Worlds are processed in rounds whose boundaries are the geometric
   // convergence checkpoints (min_worlds, then doubling). Each round runs
-  // a fixed-block parallel sweep; block tallies merge in block order, so
-  // the accumulated integers — and hence the early-stop decision — do
-  // not depend on the worker count.
+  // a fixed-block parallel sweep. A finished block's integer tallies
+  // merge into the total at once, in any order, and its tally goes back
+  // to a spare list, so at most one |E|-sized tally per worker is live.
+  // The per-block world-mass stats are floating point, so they merge in
+  // block order after the round; the accumulated totals — and hence the
+  // early-stop decision — do not depend on the worker count.
   const std::size_t min_worlds =
       std::max<std::size_t>(1, std::min(options.min_worlds, options.worlds));
   constexpr std::size_t kWorldsPerBlock = 8;
+  // The spare tallies are allocated here, on the calling thread, one per
+  // worker the largest round can use: tallies first allocated on worker
+  // threads would stay cached in those threads' malloc arenas after the
+  // estimate returns, raising the resident set of everything after it.
+  std::mutex mu;
+  std::vector<std::unique_ptr<EdgeTally>> spare;  // guarded by mu
+  const std::size_t max_workers =
+      PlanWorkers(options.worlds, kWorldsPerBlock, options.threads, num_edges)
+          .workers;
+  for (std::size_t w = 0; w < max_workers; ++w) {
+    spare.push_back(std::make_unique<EdgeTally>(num_edges));
+  }
   std::size_t done = 0;
   std::size_t next_checkpoint = min_worlds;
   bool stopped_early = false;
   while (done < options.worlds) {
     const std::size_t round_end = std::min(options.worlds, next_checkpoint);
     const std::size_t round = round_end - done;
-    const std::size_t blocks = NumBlocks(round, kWorldsPerBlock);
-    std::vector<BlockTally> tallies(blocks);
+    std::vector<RunningStats> block_mass(NumBlocks(round, kWorldsPerBlock));
     const std::size_t round_begin = done;
-    ParallelForBlocks(round, kWorldsPerBlock, options.threads,
-                      [&](std::size_t block, std::size_t begin,
-                          std::size_t end) {
-                        TallyWorlds(graph, sampler, options.seed,
-                                    round_begin + begin, round_begin + end,
-                                    tallies[block]);
-                      });
-    for (const BlockTally& tally : tallies) {
-      for (std::size_t e = 0; e < num_edges; ++e) {
-        total.delta_sum[e] += tally.delta_sum[e];
-        total.delta_sq_sum[e] += tally.delta_sq_sum[e];
-        total.absent[e] += tally.absent[e];
-      }
-      total.world_mass.Merge(tally.world_mass);
-    }
+    ParallelForBlocks(
+        round, kWorldsPerBlock, options.threads,
+        [&](std::size_t block, std::size_t begin, std::size_t end) {
+          std::unique_ptr<EdgeTally> tally;
+          {
+            const std::lock_guard<std::mutex> lock(mu);
+            if (!spare.empty()) {
+              tally = std::move(spare.back());
+              spare.pop_back();
+            }
+          }
+          if (tally == nullptr) tally = std::make_unique<EdgeTally>(num_edges);
+          TallyWorlds(graph, sampler, options.seed, round_begin + begin,
+                      round_begin + end, *tally, block_mass[block]);
+          const std::lock_guard<std::mutex> lock(mu);
+          total.MergeFrom(*tally);
+          tally->Clear();
+          spare.push_back(std::move(tally));
+        },
+        /*work_per_item=*/num_edges);
+    for (const RunningStats& stats : block_mass) world_mass.Merge(stats);
     done = round_end;
     next_checkpoint = round_end * 2;
     CHOBS_FLIGHT_EVENT(kCheckpoint, "anonymize/relevance", done,
                        options.worlds);
 
-    FinalizeEstimates(total, out);
-    const double hw = obs::NormalCiHalfwidth(total.world_mass.variance(),
-                                             total.world_mass.count(),
-                                             obs::kConfidenceZ);
-    const double mean_mass = total.world_mass.mean();
+    FinalizeEstimates(total, world_mass, out);
+    const double hw = obs::NormalCiHalfwidth(
+        world_mass.variance(), world_mass.count(), obs::kConfidenceZ);
+    const double mean_mass = world_mass.mean();
     const double rel_err = mean_mass == 0.0 ? 0.0 : hw / std::abs(mean_mass);
     const bool converged = options.max_rel_err > 0.0 && done >= min_worlds &&
                            mean_mass != 0.0 &&

@@ -104,13 +104,15 @@ ActiveParallelRegion::ActiveParallelRegion(std::string_view name,
                                           std::uint64_t block_size,
                                           std::uint64_t blocks,
                                           std::uint64_t requested,
-                                          std::uint64_t workers)
+                                          std::uint64_t workers,
+                                          std::string_view clamp)
     : name_(name),
       items_(items),
       block_size_(block_size),
       blocks_(blocks),
       requested_(requested),
       workers_(workers),
+      clamp_(clamp),
       start_ns_(MonotonicNanos()) {
   const std::lock_guard<std::mutex> lock(ActiveRegionsMu());
   ActiveRegions().insert(this);
@@ -125,8 +127,8 @@ std::string FormatParallelRegionRecord(const ParallelRegionStats& stats) {
   std::string line = StrFormat(
       "{\"type\":\"parallel_region\",\"name\":\"%s\",\"t_ms\":%llu,"
       "\"items\":%llu,\"block_size\":%llu,\"blocks\":%llu,"
-      "\"requested\":%llu,\"workers\":%llu,\"wall_ns\":%llu,"
-      "\"spawn_ns\":%llu,\"join_ns\":%llu",
+      "\"requested\":%llu,\"workers\":%llu,\"clamp\":\"%.*s\","
+      "\"wall_ns\":%llu,\"spawn_ns\":%llu,\"join_ns\":%llu",
       JsonEscape(stats.name).c_str(),
       static_cast<unsigned long long>(WallUnixMillis()),
       static_cast<unsigned long long>(stats.items),
@@ -134,6 +136,7 @@ std::string FormatParallelRegionRecord(const ParallelRegionStats& stats) {
       static_cast<unsigned long long>(stats.blocks),
       static_cast<unsigned long long>(stats.requested),
       static_cast<unsigned long long>(stats.workers),
+      static_cast<int>(stats.clamp.size()), stats.clamp.data(),
       static_cast<unsigned long long>(stats.wall_ns),
       static_cast<unsigned long long>(stats.spawn_ns),
       static_cast<unsigned long long>(stats.join_ns));
@@ -243,7 +246,8 @@ void EmitInFlightParallelRegions(RecordSink* sink) {
     sink->Write(StrFormat(
         "{\"type\":\"parallel_region\",\"partial\":true,\"name\":\"%s\","
         "\"t_ms\":%llu,\"items\":%llu,\"block_size\":%llu,\"blocks\":%llu,"
-        "\"requested\":%llu,\"workers\":%llu,\"blocks_done\":%llu,"
+        "\"requested\":%llu,\"workers\":%llu,\"clamp\":\"%.*s\","
+        "\"blocks_done\":%llu,"
         "\"busy_total_ns\":%llu,\"wall_ns\":%llu}",
         JsonEscape(region->name_).c_str(),
         static_cast<unsigned long long>(WallUnixMillis()),
@@ -252,6 +256,7 @@ void EmitInFlightParallelRegions(RecordSink* sink) {
         static_cast<unsigned long long>(region->blocks_),
         static_cast<unsigned long long>(region->requested_),
         static_cast<unsigned long long>(region->workers_),
+        static_cast<int>(region->clamp_.size()), region->clamp_.data(),
         static_cast<unsigned long long>(
             region->blocks_done_.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -24,11 +25,12 @@ std::size_t HardwareConcurrency() {
   return cached;
 }
 
-/// Minimum items per spawned worker. Spawning a thread costs on the
-/// order of 100 µs; below this grain the fan-out tax exceeds any
-/// parallel win (the BM_ObfVerifyEr2k8t regression: 7 spawned workers
-/// for a 2000-vertex verify on one core ran ~2x slower than serial).
-constexpr std::size_t kMinItemsPerWorker = 1024;
+/// Minimum work units (items times the caller's work hint) per spawned
+/// worker. Spawning a thread costs on the order of 100 µs; below this
+/// grain the fan-out tax exceeds any parallel win (the
+/// BM_ObfVerifyEr2k8t regression: 7 spawned workers for a 2000-vertex
+/// verify on one core ran ~2x slower than serial).
+constexpr std::size_t kMinWorkPerWorker = 1024;
 
 /// Process default for `threads < 1` requests; 0 = hardware concurrency.
 std::atomic<int> g_default_threads{0};
@@ -47,23 +49,64 @@ void SetDefaultThreads(int threads) {
                           std::memory_order_relaxed);
 }
 
-void ParallelForBlocks(
-    std::size_t n, std::size_t block_size, int threads,
-    const std::function<void(std::size_t block, std::size_t begin,
-                             std::size_t end)>& fn) {
-  if (n == 0 || block_size == 0) return;
-  const std::size_t blocks = NumBlocks(n, block_size);
+std::string_view WorkerClampName(WorkerClamp clamp) {
+  switch (clamp) {
+    case WorkerClamp::kNone:
+      return "none";
+    case WorkerClamp::kRequest:
+      return "request";
+    case WorkerClamp::kBlocks:
+      return "blocks";
+    case WorkerClamp::kGrain:
+      return "grain";
+    case WorkerClamp::kHardware:
+      return "hardware";
+  }
+  return "none";
+}
+
+WorkerPlan PlanWorkers(std::size_t n, std::size_t block_size, int threads,
+                       std::size_t work_per_item) {
   // Worker count is a pure scheduling choice: block boundaries depend
   // only on (n, block_size), so clamping keeps results bit-identical.
   // Clamp to (a) the block count, (b) real cores — an explicit
   // --threads above hardware_concurrency only adds contention — and
-  // (c) the minimum grain, so tiny inputs run inline on the caller.
-  const std::size_t requested =
-      static_cast<std::size_t>(EffectiveThreads(threads));
-  std::size_t workers = std::min(requested, blocks);
-  workers = std::min(workers, HardwareConcurrency());
-  workers = std::min(workers,
-                     std::max<std::size_t>(1, n / kMinItemsPerWorker));
+  // (c) the minimum grain, so small amounts of work run inline on the
+  // caller. The work product saturates instead of wrapping.
+  const std::size_t work = std::max<std::size_t>(1, work_per_item);
+  const std::size_t units =
+      n > std::numeric_limits<std::size_t>::max() / work
+          ? std::numeric_limits<std::size_t>::max()
+          : n * work;
+  const std::size_t blocks = NumBlocks(n, block_size);
+  const std::size_t grain =
+      std::max<std::size_t>(1, units / kMinWorkPerWorker);
+  const std::size_t hardware = HardwareConcurrency();
+
+  WorkerPlan plan;
+  plan.requested = static_cast<std::size_t>(EffectiveThreads(threads));
+  plan.workers = std::min({plan.requested, blocks, grain, hardware});
+  if (plan.workers == plan.requested) {
+    plan.clamp = threads >= 1 ? WorkerClamp::kRequest : WorkerClamp::kNone;
+  } else if (plan.workers == blocks) {
+    plan.clamp = WorkerClamp::kBlocks;
+  } else if (plan.workers == grain) {
+    plan.clamp = WorkerClamp::kGrain;
+  } else {
+    plan.clamp = WorkerClamp::kHardware;
+  }
+  return plan;
+}
+
+void ParallelForBlocks(
+    std::size_t n, std::size_t block_size, int threads,
+    const std::function<void(std::size_t block, std::size_t begin,
+                             std::size_t end)>& fn,
+    std::size_t work_per_item) {
+  if (n == 0 || block_size == 0) return;
+  const std::size_t blocks = NumBlocks(n, block_size);
+  const WorkerPlan plan = PlanWorkers(n, block_size, threads, work_per_item);
+  const std::size_t workers = plan.workers;
 
   // Telemetry hook, set only while observability is live. It never
   // influences which (block, begin, end) triples `fn` sees, so outputs
@@ -80,10 +123,12 @@ void ParallelForBlocks(
     stats->items = n;
     stats->block_size = block_size;
     stats->blocks = blocks;
-    stats->requested = requested;
+    stats->requested = plan.requested;
     stats->workers = workers;
+    stats->clamp = WorkerClampName(plan.clamp);
     stats->per_worker.resize(workers);
-    active.emplace(stats->name, n, block_size, blocks, requested, workers);
+    active.emplace(stats->name, n, block_size, blocks, plan.requested,
+                   workers, stats->clamp);
   }
 #endif
   obs::ParallelRegionStats* const hook = stats ? &*stats : nullptr;

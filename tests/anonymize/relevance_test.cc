@@ -1,13 +1,18 @@
 #include "chameleon/anonymize/relevance.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/obs/obs.h"
+#include "chameleon/obs/parallel_stats.h"
 #include "chameleon/util/rng.h"
 
 namespace chameleon::anonymize {
@@ -161,40 +166,87 @@ TEST(RelevanceTest, ReusedMatchesNaiveOnEr64) {
   ExpectWithinMcError(*reused, *naive);
 }
 
+/// ER graph on 400 nodes, ~800 edges: with the |E| work hint one 8-world
+/// block is ~6400 work units, so every round crosses the grain and fans
+/// out.
+UncertainGraph MakeEr400() {
+  Rng rng(11);
+  UncertainGraphBuilder builder(400);
+  for (NodeId u = 0; u < 400; ++u) {
+    for (NodeId v = u + 1; v < 400; ++v) {
+      if (rng.Bernoulli(4.0 / 399.0)) {
+        EXPECT_TRUE(builder.AddEdge(u, v, rng.Uniform(0.1, 0.9)).ok());
+      }
+    }
+  }
+  Result<UncertainGraph> g = std::move(builder).Build();
+  EXPECT_TRUE(g.ok());
+  return *std::move(g);
+}
+
+/// Every output of two runs, bit for bit.
+void ExpectBitIdentical(const EdgeRelevance& a, const EdgeRelevance& b) {
+  EXPECT_EQ(a.err, b.err);
+  EXPECT_EQ(a.err_variance, b.err_variance);
+  EXPECT_EQ(a.absent_worlds, b.absent_worlds);
+  EXPECT_EQ(a.vertex_err, b.vertex_err);
+  EXPECT_EQ(a.mean_world_mass, b.mean_world_mass);
+  EXPECT_EQ(a.worlds, b.worlds);
+  EXPECT_EQ(a.stopped_early, b.stopped_early);
+}
+
 TEST(RelevanceTest, BitIdenticalAcrossWorkerCounts) {
-  const UncertainGraph g = MakeEr64();
+  const UncertainGraph g = MakeEr400();
   RelevanceOptions options;
   options.worlds = 512;
   options.threads = 1;
+  options.heartbeat = false;
   const Result<EdgeRelevance> one = EstimateRelevance(g, options);
   ASSERT_TRUE(one.ok());
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 7, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
     options.threads = threads;
+#if CHAMELEON_OBS_ENABLED
+    obs::SetEnabledForTesting(true);
+    obs::ResetParallelRegionAggregates();
+#endif
     const Result<EdgeRelevance> many = EstimateRelevance(g, options);
+#if CHAMELEON_OBS_ENABLED
+    // The rounds really fanned out: without the |E| work hint they would
+    // run inline on one worker.
+    const std::vector<obs::ParallelRegionAggregate> regions =
+        obs::ParallelRegionAggregates();
+    obs::SetEnabledForTesting(false);
+    ASSERT_EQ(regions.size(), 1u);
+    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_EQ(regions[0].last_workers,
+              std::min(static_cast<std::size_t>(threads), hw));
+#endif
     ASSERT_TRUE(many.ok());
-    EXPECT_EQ(one->err, many->err) << threads << " threads";
-    EXPECT_EQ(one->absent_worlds, many->absent_worlds);
-    EXPECT_EQ(one->vertex_err, many->vertex_err);
+    ExpectBitIdentical(*one, *many);
   }
 }
 
 TEST(RelevanceTest, EarlyStopIsDeterministicAndFlagged) {
-  const UncertainGraph g = MakeCycle12();
+  const UncertainGraph g = MakeEr400();
   RelevanceOptions options;
   options.worlds = 100000;
   options.max_rel_err = 0.05;
-  options.threads = 2;
+  options.threads = 1;
+  options.heartbeat = false;
   const Result<EdgeRelevance> a = EstimateRelevance(g, options);
   ASSERT_TRUE(a.ok());
   EXPECT_TRUE(a->stopped_early);
   EXPECT_LT(a->worlds, options.worlds);
-  options.threads = 7;
-  const Result<EdgeRelevance> b = EstimateRelevance(g, options);
-  ASSERT_TRUE(b.ok());
   // The stopping decision is made at deterministic checkpoints, so the
   // world count (and therefore every estimate) is thread-invariant.
-  EXPECT_EQ(a->worlds, b->worlds);
-  EXPECT_EQ(a->err, b->err);
+  for (int threads : {2, 7, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    options.threads = threads;
+    const Result<EdgeRelevance> b = EstimateRelevance(g, options);
+    ASSERT_TRUE(b.ok());
+    ExpectBitIdentical(*a, *b);
+  }
 }
 
 TEST(RelevanceTest, ZeroWorldsIsInvalidArgument) {

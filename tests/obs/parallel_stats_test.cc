@@ -83,6 +83,22 @@ TEST(ParallelStatsTest, StatsHelpersComputeExpectedRatios) {
   EXPECT_DOUBLE_EQ(stats.Efficiency(), 0.8);
 }
 
+TEST(ParallelStatsTest, RecordNamesTheBindingClamp) {
+  ParallelRegionStats stats;
+  stats.name = "phase/a";
+  stats.items = 512;
+  stats.block_size = 8;
+  stats.blocks = 64;
+  stats.requested = 8;
+  stats.workers = 1;
+  stats.clamp = WorkerClampName(WorkerClamp::kGrain);
+  stats.per_worker.resize(1);
+  const std::string line = FormatParallelRegionRecord(stats);
+  EXPECT_EQ(JsonlStringField(line, "clamp"), "grain");
+  EXPECT_EQ(JsonlNumberField(line, "workers"), 1.0);
+  EXPECT_EQ(JsonlNumberField(line, "requested"), 8.0);
+}
+
 #if CHAMELEON_OBS_ENABLED
 // Aggregates need the compiled-in instrumentation; with obs off the
 // region runs the plain path and records nothing (covered below).
@@ -186,6 +202,7 @@ TEST(ParallelStatsTest, SigintMidRegionFlushesPartialRecord) {
   EXPECT_LT(*done, 64.0);
   EXPECT_TRUE(JsonlNumberField(partial, "wall_ns").has_value());
   EXPECT_TRUE(JsonlNumberField(partial, "workers").has_value());
+  EXPECT_TRUE(JsonlStringField(partial, "clamp").has_value());
 }
 
 #endif  // CHAMELEON_OBS_ENABLED

@@ -104,6 +104,8 @@ const std::vector<Binary>& Binaries() {
        {"filter", "help", "list", "out", "quick", "reps", "version"}},
       {"chameleon_bench_anonymize", BENCH_ANONYMIZE_BIN,
        {"filter", "help", "list", "out", "quick", "reps", "version"}},
+      {"chameleon_overhead_gate", OVERHEAD_GATE_BIN,
+       {"gate", "help", "list", "out", "reps", "version"}},
   };
   return *binaries;
 }

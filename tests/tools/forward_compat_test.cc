@@ -441,6 +441,49 @@ TEST(KnownRecordTypesTest, EveryKnownTypeRendersInBothReaders) {
   std::remove(path.c_str());
 }
 
+TEST(KnownRecordTypesTest, ParallelRegionClampRendersAndIsOptional) {
+  // A `clamp` names the limit that set the worker count; streams written
+  // before the field existed still render, with "-" in its column.
+  const std::string region =
+      R"("t_ms":1,"items":512,"block_size":8,"blocks":64,"requested":8,)"
+      R"("workers":1,)";
+  const std::string tail =
+      R"("wall_ns":1000,"spawn_ns":0,"join_ns":0,"busy_ns":[1000],)"
+      R"("blocks_claimed":[64],"busy_total_ns":1000,"idle_total_ns":0,)"
+      R"("imbalance":1,"speedup":1,"efficiency":1})";
+  const std::string path = WriteStream(
+      "fc_clamp.jsonl",
+      R"({"type":"parallel_region","name":"phase/new",)" + region +
+          R"("clamp":"grain",)" + tail + "\n" +
+          R"({"type":"parallel_region","name":"phase/old",)" + region +
+          tail + "\n");
+  const RunResult dump = RunCommand(std::string(OBS_DUMP_BIN) + " " + path);
+  EXPECT_EQ(dump.exit_code, 0) << dump.stderr_text;
+  std::istringstream lines(dump.stdout_text);
+  std::string new_row;
+  std::string old_row;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("phase/new ", 0) == 0) new_row = line;
+    if (line.rfind("phase/old ", 0) == 0) old_row = line;
+  }
+  EXPECT_NE(dump.stdout_text.find("clamp"), std::string::npos)
+      << dump.stdout_text;
+  EXPECT_NE(new_row.find(" 1/8  grain "), std::string::npos)
+      << dump.stdout_text;
+  EXPECT_NE(old_row.find(" 1/8  - "), std::string::npos) << dump.stdout_text;
+  const RunResult watch =
+      RunCommand(std::string(WATCH_BIN) + " --once " + path);
+  EXPECT_EQ(watch.exit_code, 0) << watch.stderr_text;
+  EXPECT_NE(watch.stdout_text.find("parallel phase/new: 1/8 workers (clamp "
+                                   "grain)"),
+            std::string::npos)
+      << watch.stdout_text;
+  EXPECT_NE(watch.stdout_text.find("parallel phase/old: 1/8 workers, "),
+            std::string::npos)
+      << watch.stdout_text;
+  std::remove(path.c_str());
+}
+
 TEST(KnownRecordTypesTest, KnownUnavailableNotesRender) {
   const std::string path = WriteStream(
       "fc_unavailable.jsonl",

@@ -1,6 +1,11 @@
 #include "chameleon/util/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstddef>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -113,9 +118,90 @@ TEST(ParallelForBlocksTest, SmallRangesRunInlineDespiteThreadRequest) {
   // 512 items sit under the ~1024-item minimum grain: even an explicit
   // --threads=8 must not spawn workers (the regression this guards:
   // thread startup dwarfing the actual work).
+  const WorkerPlan plan = PlanWorkers(512, 32, 8);
+  EXPECT_EQ(plan.workers, 1u);
+  EXPECT_EQ(plan.clamp, WorkerClamp::kGrain);
   const std::set<std::thread::id> ids = RunAndCollectThreadIds(512, 32, 8);
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+}
+
+std::size_t Hardware() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// Distinct thread ids that ran blocks. Each block waits (up to 5 s) for
+/// a second thread to show up, so a region that spawned workers is seen
+/// to use them however fast the caller drains.
+std::set<std::thread::id> RunAndAwaitSecondThread(std::size_t n,
+                                                  std::size_t block_size,
+                                                  int threads,
+                                                  std::size_t work_per_item) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> ids;
+  ParallelForBlocks(
+      n, block_size, threads,
+      [&](std::size_t, std::size_t, std::size_t) {
+        std::unique_lock<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+        cv.notify_all();
+        cv.wait_for(lock, std::chrono::seconds(5),
+                    [&] { return ids.size() >= 2; });
+      },
+      work_per_item);
+  return ids;
+}
+
+TEST(ParallelForBlocksTest, WorkHintFansOutFewCostlyItems) {
+  // 512 items that each cost ~1024 units of work (a sampled world over
+  // |E| edges, say) are 512k units: the grain no longer binds.
+  const WorkerPlan plan = PlanWorkers(512, 8, 8, 1024);
+  EXPECT_EQ(plan.requested, 8u);
+  EXPECT_EQ(plan.workers, std::min<std::size_t>(8, Hardware()));
+  if (Hardware() < 2) GTEST_SKIP() << "one hardware thread";
+  const std::set<std::thread::id> ids = RunAndAwaitSecondThread(512, 8, 8,
+                                                                1024);
+  EXPECT_GE(ids.size(), 2u);
+}
+
+TEST(PlanWorkersTest, ClampNamesTheBindingLimit) {
+  const std::size_t hw = Hardware();
+  // The explicit request is the smallest limit.
+  EXPECT_EQ(PlanWorkers(1 << 20, 64, 1).clamp, WorkerClamp::kRequest);
+  // One block: nothing for a second worker to claim.
+  const WorkerPlan one_block = PlanWorkers(100, 100, 8);
+  EXPECT_EQ(one_block.workers, 1u);
+  EXPECT_EQ(one_block.clamp, WorkerClamp::kBlocks);
+  // 2048 work units: two workers' worth of grain.
+  const WorkerPlan grain = PlanWorkers(2048, 64, 64);
+  EXPECT_EQ(grain.workers, std::min<std::size_t>(2, hw));
+  EXPECT_EQ(grain.clamp,
+            hw >= 2 ? WorkerClamp::kGrain : WorkerClamp::kHardware);
+  // Far more workers asked for than there are cores.
+  const WorkerPlan hardware = PlanWorkers(1 << 24, 64, 100000);
+  EXPECT_EQ(hardware.workers, hw);
+  EXPECT_EQ(hardware.clamp, WorkerClamp::kHardware);
+  // A default request nothing narrows.
+  const WorkerPlan fallback = PlanWorkers(1 << 24, 64, 0);
+  EXPECT_EQ(fallback.workers, fallback.requested);
+  EXPECT_EQ(fallback.clamp, WorkerClamp::kNone);
+}
+
+TEST(PlanWorkersTest, WorkProductSaturates) {
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  const WorkerPlan plan = PlanWorkers(max / 2, 1, 2, max);
+  EXPECT_EQ(plan.workers, std::min<std::size_t>(2, Hardware()));
+  // A zero hint counts as one unit per item.
+  EXPECT_EQ(PlanWorkers(512, 8, 8, 0).workers, 1u);
+}
+
+TEST(PlanWorkersTest, ClampNames) {
+  EXPECT_EQ(WorkerClampName(WorkerClamp::kNone), "none");
+  EXPECT_EQ(WorkerClampName(WorkerClamp::kRequest), "request");
+  EXPECT_EQ(WorkerClampName(WorkerClamp::kBlocks), "blocks");
+  EXPECT_EQ(WorkerClampName(WorkerClamp::kGrain), "grain");
+  EXPECT_EQ(WorkerClampName(WorkerClamp::kHardware), "hardware");
 }
 
 TEST(ParallelForBlocksTest, SingleBlockRunsInline) {

@@ -66,6 +66,7 @@ std::string ResultJson(const anonymize::AnonymizeResult& result,
       "  \"trials\": %llu,\n"
       "  \"perturbed_edges\": %llu,\n"
       "  \"excluded_vertices\": %llu,\n"
+      "  \"uniqueness_rel_err_bound\": %.6g,\n"
       "  \"relevance_worlds\": %llu,\n"
       "  \"relevance_wall_ms\": %.6g,\n"
       "  \"wall_ms\": %.6g,\n"
@@ -82,6 +83,7 @@ std::string ResultJson(const anonymize::AnonymizeResult& result,
       static_cast<unsigned long long>(options.trials),
       static_cast<unsigned long long>(result.perturbed_edges),
       static_cast<unsigned long long>(result.excluded_vertices),
+      result.uniqueness_rel_err_bound,
       static_cast<unsigned long long>(result.relevance_worlds),
       result.relevance_wall_ms, result.wall_ms,
       static_cast<unsigned long long>(options.seed),

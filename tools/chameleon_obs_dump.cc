@@ -76,6 +76,7 @@ struct ParallelRegionDumpAgg {
   double overhead_ns = 0.0;  ///< spawn + join
   double workers = 0.0;      ///< last seen
   double requested = 0.0;    ///< last seen
+  std::string clamp = "-";   ///< last seen binding limit; "-" when absent
   double max_imbalance = 0.0;
 };
 
@@ -221,6 +222,7 @@ Result<DumpResult> Load(const std::string& path) {
       agg.overhead_ns += Num(line, "spawn_ns") + Num(line, "join_ns");
       agg.workers = Num(line, "workers");
       agg.requested = Num(line, "requested");
+      agg.clamp = Str(line, "clamp", "-");
       agg.max_imbalance = std::max(agg.max_imbalance, Num(line, "imbalance"));
     } else if (*type == "mutex_wait") {
       const auto name = obs::JsonlStringField(line, "name");
@@ -506,19 +508,21 @@ void PrintReport(const DumpResult& dump, const std::string& sort_key,
     for (const auto& [name, agg] : dump.parallel_regions) {
       pwidth = std::max(pwidth, name.size());
     }
-    std::printf("%-*s %8s %7s %11s %8s %6s %9s %11s\n",
+    std::printf("%-*s %8s %7s %-8s %11s %8s %6s %9s %11s\n",
                 static_cast<int>(pwidth), "region", "regions", "workers",
-                "wall ms", "speedup", "eff", "imbalance", "overhead ms");
+                "clamp", "wall ms", "speedup", "eff", "imbalance",
+                "overhead ms");
     for (const auto& [name, agg] : dump.parallel_regions) {
       const double speedup =
           agg.wall_ns > 0.0 ? agg.busy_ns / agg.wall_ns : 1.0;
       const double efficiency =
           agg.workers > 0.0 ? speedup / agg.workers : 1.0;
-      std::printf("%-*s %8llu %4.0f/%-2.0f %11.3f %7.2fx %5.1f%% %9.2f "
-                  "%11.3f%s\n",
+      std::printf("%-*s %8llu %4.0f/%-2.0f %-8s %11.3f %7.2fx %5.1f%% "
+                  "%9.2f %11.3f%s\n",
                   static_cast<int>(pwidth), name.c_str(),
                   static_cast<unsigned long long>(agg.regions), agg.workers,
-                  agg.requested, agg.wall_ns * 1e-6, speedup,
+                  agg.requested, agg.clamp.c_str(), agg.wall_ns * 1e-6,
+                  speedup,
                   efficiency * 100.0, agg.max_imbalance,
                   agg.overhead_ns * 1e-6,
                   agg.partials > 0 ? "  [+partial]" : "");

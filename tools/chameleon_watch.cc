@@ -247,11 +247,13 @@ std::string RenderRecord(const std::string& line, WatchState* state) {
         obs::JsonlNumberField(line, "efficiency").value_or(0.0);
     const double imbalance =
         obs::JsonlNumberField(line, "imbalance").value_or(0.0);
+    const auto clamp = obs::JsonlStringField(line, "clamp");
     return StrFormat(
-        "parallel %s: %.0f/%.0f workers, %.2f ms, speedup %.2fx "
+        "parallel %s: %.0f/%.0f workers%s, %.2f ms, speedup %.2fx "
         "(eff %.0f%%, imbalance %.2f)\n",
-        name.value_or("?").c_str(), workers, requested, wall_ns * 1e-6,
-        speedup, efficiency * 100.0, imbalance);
+        name.value_or("?").c_str(), workers, requested,
+        clamp.has_value() ? (" (clamp " + *clamp + ")").c_str() : "",
+        wall_ns * 1e-6, speedup, efficiency * 100.0, imbalance);
   }
   if (*type == "mutex_wait") {
     const auto name = obs::JsonlStringField(line, "name");
