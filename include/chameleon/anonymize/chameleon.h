@@ -35,7 +35,9 @@
 /// level, each from its own derived rng stream), then a bisection phase
 /// shrinks the bracket for refine_iters rounds, keeping the published
 /// graph of the smallest successful σ. Smaller σ = less noise = better
-/// utility, so the bracket minimum is the published candidate.
+/// utility, so the bracket minimum is the published candidate. The
+/// driver builds one GenObfPlan before the search and runs every
+/// attempt from it (gen_obf.h).
 ///
 /// Observability: `anonymize/driver` spans, one `anonymize_attempt`
 /// JSONL record per GenObf attempt, one `sigma_search` record per σ

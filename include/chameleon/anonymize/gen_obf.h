@@ -6,6 +6,7 @@
 
 #include "chameleon/anonymize/perturbation.h"
 #include "chameleon/graph/uncertain_graph.h"
+#include "chameleon/privacy/degree_distribution.h"
 #include "chameleon/privacy/obfuscation.h"
 #include "chameleon/util/rng.h"
 #include "chameleon/util/status.h"
@@ -31,6 +32,18 @@
 /// observe are still eligible: perturbing certain edges is exactly how
 /// uncertainty is injected (and the Rep-An p ∈ {0,1} special case relies
 /// on it).
+///
+/// The σ search runs many attempts on one graph, so the work that does
+/// not depend on σ or the attempt's rng is done once, in a GenObfPlan:
+/// the exclusion set, the eligible edges, and the degree PMFs of the
+/// *frozen* vertices — those with no eligible incident edge, whose PMF
+/// no attempt can change (the excluded hubs hold most of Σdeg² on
+/// heavy-tailed graphs). An attempt then draws keys over the eligible
+/// edges only, selects the candidates with a linear-time nth_element,
+/// re-probabilizes the input CSR (UncertainGraph::WithProbabilities)
+/// instead of rebuilding it, and rebuilds only the live vertices' PMFs.
+/// Every choice is the one a from-scratch attempt makes, so the
+/// published graph and certificate are bit-identical to it.
 
 namespace chameleon::anonymize {
 
@@ -58,9 +71,55 @@ struct GenObfAttempt {
   double wall_ms = 0.0;
 };
 
-/// Runs one attempt. `uniqueness` holds U^v per vertex; `priorities`
-/// holds Q^e per edge (perturbation.h). Consumes draws from `rng` — pass
-/// a per-attempt stream for reproducible multi-attempt search.
+/// The per-publication half of GenObf: everything an attempt needs that
+/// depends only on (graph, uniqueness, priorities, options). The plan
+/// refers to `graph` and `priorities` without copying them; both must
+/// outlive it and stay unchanged.
+class GenObfPlan {
+ public:
+  /// Validates the inputs and plans. `uniqueness` holds U^v per vertex;
+  /// `priorities` holds Q^e per edge (perturbation.h).
+  static Result<GenObfPlan> Make(const graph::UncertainGraph& graph,
+                                 const std::vector<double>& uniqueness,
+                                 const std::vector<double>& priorities,
+                                 const GenObfOptions& options);
+
+  /// One attempt at noise level σ. Consumes draws from `rng` — pass a
+  /// per-attempt stream for reproducible multi-attempt search.
+  Result<GenObfAttempt> Attempt(double sigma, Rng& rng) const;
+
+  /// Degree PMFs of `published`, the plan's graph with probabilities
+  /// changed on eligible edges only: the frozen vertices' PMFs are
+  /// copied from the plan and the rest rebuilt, in a fixed-block
+  /// parallel region. Equal bit for bit to
+  /// privacy::BuildDegreeDistributions(published).
+  std::vector<privacy::DegreeDistribution> DegreeDistributions(
+      const graph::UncertainGraph& published) const;
+
+  std::size_t excluded_vertices() const { return excluded_; }
+  std::size_t eligible_edges() const { return eligible_.size(); }
+  /// Vertices with no eligible incident edge (excluded or isolated ones
+  /// included), ascending.
+  const std::vector<NodeId>& frozen_vertices() const { return frozen_; }
+
+ private:
+  GenObfPlan() = default;
+
+  const graph::UncertainGraph* graph_ = nullptr;
+  const std::vector<double>* priorities_ = nullptr;
+  GenObfOptions options_;
+  std::size_t excluded_ = 0;
+  /// Candidate-set size ⌈c·|E|⌉, capped at the eligible count.
+  std::size_t want_ = 0;
+  /// Edges with neither endpoint excluded, ascending.
+  std::vector<EdgeId> eligible_;
+  std::vector<NodeId> frozen_;
+  /// frozen_dists_[i] is the degree PMF of frozen_[i].
+  std::vector<privacy::DegreeDistribution> frozen_dists_;
+};
+
+/// One attempt from scratch: GenObfPlan::Make, then Attempt. Arguments
+/// as there.
 Result<GenObfAttempt> GenObf(const graph::UncertainGraph& graph,
                              const std::vector<double>& uniqueness,
                              const std::vector<double>& priorities,

@@ -51,6 +51,16 @@ class UncertainGraph {
   /// Sum over edges of p (expected number of edges).
   double expected_num_edges() const;
 
+  /// The same vertices, edges, edge ids and adjacency with edge e's
+  /// probability replaced by `probabilities[e]`. One O(|E|) pass: no
+  /// sort and no duplicate scan, since the topology is already
+  /// validated. Expected degrees accumulate in edge-id order, as in
+  /// UncertainGraphBuilder::Build, so the result equals a builder
+  /// rebuild bit for bit. InvalidArgument unless there is exactly one
+  /// probability per edge, each in [0, 1].
+  Result<UncertainGraph> WithProbabilities(
+      std::span<const double> probabilities) const;
+
  private:
   friend class UncertainGraphBuilder;
 

@@ -24,9 +24,11 @@
 /// (RemoveEdge) deconvolves one edge in O(d) by running the recurrence
 /// forward (divide by 1−p) when p < 1/2 and backward (divide by p)
 /// otherwise, so the divisor is always ≥ 1/2 and the downdate stays
-/// within ~1e-15 of a from-scratch rebuild. A future search loop can
-/// therefore re-score a perturbed candidate edge in O(d) per endpoint
-/// instead of O(d²).
+/// within ~1e-15 of a from-scratch rebuild. Nothing on the publish path
+/// downdates: a GenObf attempt perturbs an edge at ~94% of the live
+/// vertices (c = 0.3, degree 8), and per-edge O(d) downdates cost about
+/// as much as the O(d²/2) rebuild, so GenObf rebuilds the live PMFs and
+/// reuses the frozen ones exactly (anonymize/gen_obf.h).
 
 namespace chameleon::privacy {
 

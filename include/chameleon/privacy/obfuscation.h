@@ -102,8 +102,9 @@ Result<ObfuscationCertificate> VerifyObfuscation(
     const graph::UncertainGraph& graph, const ObfuscationOptions& options);
 
 /// Same, reusing caller-held degree distributions (`dists[v]` must be
-/// vertex v's distribution — the search loop keeps these incrementally
-/// updated and re-verifies in O(Σ deg) per candidate).
+/// vertex v's distribution). The posterior sweep is then O(Σ deg). GenObf
+/// passes PMFs it rebuilt for the live vertices and copied, unchanged,
+/// for the frozen ones (anonymize/gen_obf.h).
 Result<ObfuscationCertificate> VerifyObfuscation(
     const graph::UncertainGraph& graph,
     const std::vector<DegreeDistribution>& dists,

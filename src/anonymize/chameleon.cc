@@ -194,6 +194,11 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
                                               : NoiseModel::kMaxEntropy;
   gen_options.adversary = options.adversary;
   gen_options.threads = options.threads;
+  // Built once: every attempt of the σ search shares the exclusion set,
+  // the eligible edges and the frozen vertices' PMFs.
+  Result<GenObfPlan> plan =
+      GenObfPlan::Make(graph, uniqueness->scores, *priorities, gen_options);
+  if (!plan.ok()) return plan.status();
 
   std::optional<GenObfAttempt> best;
   std::optional<GenObfAttempt> last_failed;
@@ -210,8 +215,7 @@ Result<AnonymizeResult> Anonymize(const graph::UncertainGraph& graph,
     bool success = false;
     for (std::size_t a = 0; a < options.trials; ++a) {
       Rng rng(AttemptSeed(options.seed, level, a));
-      Result<GenObfAttempt> attempt = GenObf(
-          graph, uniqueness->scores, *priorities, sigma, gen_options, rng);
+      Result<GenObfAttempt> attempt = plan->Attempt(sigma, rng);
       if (!attempt.ok()) {
         level_error = attempt.status();
         return false;

@@ -19,6 +19,33 @@ double UncertainGraph::expected_num_edges() const {
   return total;
 }
 
+Result<UncertainGraph> UncertainGraph::WithProbabilities(
+    std::span<const double> probabilities) const {
+  if (probabilities.size() != edges_.size()) {
+    return Status::InvalidArgument(
+        StrFormat("%zu probabilities for %zu edges", probabilities.size(),
+                  edges_.size()));
+  }
+  UncertainGraph g;
+  g.num_nodes_ = num_nodes_;
+  g.edges_ = edges_;
+  g.adj_offsets_ = adj_offsets_;
+  g.adjacency_ = adjacency_;
+  g.expected_degrees_.assign(num_nodes_, 0.0);
+  for (std::size_t i = 0; i < g.edges_.size(); ++i) {
+    const double p = probabilities[i];
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return Status::InvalidArgument(StrFormat(
+          "probability %g for edge %zu outside [0, 1]", p, i));
+    }
+    UncertainEdge& e = g.edges_[i];
+    e.p = p;
+    g.expected_degrees_[e.u] += p;
+    g.expected_degrees_[e.v] += p;
+  }
+  return g;
+}
+
 UncertainGraphBuilder::UncertainGraphBuilder(NodeId num_nodes)
     : num_nodes_(num_nodes) {}
 
