@@ -82,8 +82,13 @@ class UncertainGraphBuilder {
 
   std::size_t num_queued_edges() const { return edges_.size(); }
 
+  /// Sizes the queue for `edges` edges in all, so the built graph holds
+  /// no growth slack.
+  void Reserve(std::size_t edges) { edges_.reserve(edges); }
+
   /// Validates (no multi-edges), canonicalizes (u < v, edges sorted),
   /// builds CSR adjacency and expected degrees. The builder is consumed.
+  /// Edges queued in (u, v) order skip the sort after an O(|E|) check.
   Result<UncertainGraph> Build() &&;
 
  private:

@@ -20,20 +20,16 @@
 /// The PMF is computed by the stable direct-convolution recurrence
 ///   f'[k] = f[k]·(1−p) + f[k−1]·p
 /// applied once per incident edge — O(d²) for a degree-d vertex, all
-/// terms non-negative so no catastrophic cancellation. The inverse step
-/// (RemoveEdge) deconvolves one edge in O(d) by running the recurrence
-/// forward (divide by 1−p) when p < 1/2 and backward (divide by p)
-/// otherwise, so the divisor is always ≥ 1/2 and the downdate stays
-/// within ~1e-15 of a from-scratch rebuild. Nothing on the publish path
-/// downdates: a GenObf attempt perturbs an edge at ~94% of the live
-/// vertices (c = 0.3, degree 8), and per-edge O(d) downdates cost about
-/// as much as the O(d²/2) rebuild, so GenObf rebuilds the live PMFs and
-/// reuses the frozen ones exactly (anonymize/gen_obf.h).
+/// terms non-negative so no catastrophic cancellation. Nothing
+/// downdates a PMF: a GenObf attempt perturbs an edge at ~94% of the
+/// live vertices (c = 0.3, degree 8), where an O(d) per-edge downdate
+/// costs about as much as the O(d²/2) rebuild, so GenObf rebuilds the
+/// live PMFs and reuses the frozen ones exactly (anonymize/gen_obf.h).
 
 namespace chameleon::privacy {
 
 /// PMF of the Poisson-binomial degree of one vertex. Value semantics:
-/// copy freely, mutate via Add/Remove/UpdateEdge.
+/// copy freely, grow via AddEdge.
 class DegreeDistribution {
  public:
   /// Zero incident edges: degree 0 with probability 1.
@@ -50,16 +46,6 @@ class DegreeDistribution {
   /// Incorporates one more incident edge with probability `p`. O(d).
   void AddEdge(double p);
 
-  /// Deconvolves an edge with probability `p` that was previously
-  /// incorporated (by construction or AddEdge). O(d). InvalidArgument
-  /// when no edges remain or `p` is outside [0,1]; passing a `p` that
-  /// was never incorporated silently yields a meaningless PMF — the
-  /// caller owns that bookkeeping.
-  Status RemoveEdge(double p);
-
-  /// RemoveEdge(old_p) + AddEdge(new_p): O(d) candidate re-scoring.
-  Status UpdateEdge(double old_p, double new_p);
-
   /// Number of incorporated edges (the maximum possible degree).
   std::size_t num_edges() const { return pmf_.size() - 1; }
 
@@ -71,8 +57,7 @@ class DegreeDistribution {
   /// P[deg <= k]; 1 beyond num_edges().
   double Cdf(std::size_t k) const;
 
-  /// E[deg] = sum of incorporated probabilities (computed from the PMF,
-  /// so it stays exact under Add/Remove round trips).
+  /// E[deg] = sum of incorporated probabilities, computed from the PMF.
   double Mean() const;
 
   /// Shannon entropy of the degree distribution in bits.

@@ -170,6 +170,47 @@ TEST(VerifyObfuscationTest, DeterministicAcrossWorkerCounts) {
   }
 }
 
+TEST(VerifyObfuscationTest, EntropiesMatchMaterializedPosteriorsAcrossBlocks) {
+  // A 700-vertex path spans three posterior blocks; a hub of degree 302
+  // in the last one makes the blocks' PMF widths differ by 100x. Every
+  // H(Y_ω) must be the entropy of the posterior built from Boldi et al.'s
+  // definition, Y_ω(u) = X_u(ω) / Σ_w X_w(ω).
+  constexpr NodeId kNodes = 700;
+  constexpr NodeId kHub = 650;
+  const auto p = [](NodeId u, NodeId v) {
+    return 0.05 + 0.9 * static_cast<double>((u * 37 + v * 11) % 101) / 100.0;
+  };
+  UncertainGraphBuilder builder(kNodes);
+  for (NodeId u = 0; u + 1 < kNodes; ++u) {
+    ASSERT_TRUE(builder.AddEdge(u, u + 1, p(u, u + 1)).ok());
+  }
+  for (NodeId leaf = 0; leaf < 600; leaf += 2) {
+    ASSERT_TRUE(builder.AddEdge(leaf, kHub, p(leaf, kHub)).ok());
+  }
+  const Result<UncertainGraph> g = std::move(builder).Build();
+  ASSERT_TRUE(g.ok());
+
+  ObfuscationOptions options;
+  options.k = 5.0;
+  options.threads = 3;
+  const Result<ObfuscationCertificate> cert = VerifyObfuscation(*g, options);
+  ASSERT_TRUE(cert.ok());
+  const std::vector<DegreeDistribution> dists =
+      BuildDegreeDistributions(*g, 1);
+  ASSERT_EQ(cert->per_vertex.size(), kNodes);
+  for (const VertexObfuscation& row : cert->per_vertex) {
+    double total = 0.0;
+    for (const DegreeDistribution& x : dists) total += x.Pmf(row.omega);
+    double entropy = 0.0;
+    for (const DegreeDistribution& x : dists) {
+      const double y = x.Pmf(row.omega) / total;
+      if (y > 0.0) entropy -= y * std::log2(y);
+    }
+    EXPECT_NEAR(row.entropy_bits, entropy, 1e-9)
+        << "vertex " << row.vertex << ", omega " << row.omega;
+  }
+}
+
 TEST(VerifyObfuscationTest, RejectsBadArguments) {
   const UncertainGraph g = MakeCycle12();
   ObfuscationOptions options;
